@@ -2,18 +2,18 @@
 
 The package splits into infrastructure and model code:
 
-- `numerics`: seeded RNG streams, LU/QR helpers, tensor serialization
+- `numerics`: seeded RNG streams, LAPACK-backed LU, tensor serialization
 - `signal`: STFT front end, phase-borrow resynthesis, vowel synthesizer
 - `dataset`: corpus construction, manifests, fixed-size spectrogram images
-- `flow`: invertible layers (actnorm, 1x1 conv, affine coupling) and the
-  multi-scale flow with exact log-determinants and hand-derived gradients
+- `flow`: invertible layers (actnorm, QR-initialized 1x1 conv, affine coupling)
+  and the multi-scale flow with exact log-determinants and hand-derived gradients
 - `train`: maximum-likelihood loop, Adam, checkpoints, gradient audit
 - `latent`: sampling, interpolation, noise displacement, Gaussianity
   statistics, and the two-class discriminant probe
 - `cli`: `vowelflow` command wiring the full pipeline
 """
 
-from .flow import FlowConfig, FlowModel, LatentCode
+from .flow import FlowConfig, FlowModel
 from .dataset import (
     CorpusReader,
     DatasetConfig,
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FlowConfig",
     "FlowModel",
-    "LatentCode",
     "CorpusReader",
     "DatasetConfig",
     "Manifest",

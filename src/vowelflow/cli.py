@@ -19,6 +19,7 @@ files under --out-dir, or to standard output for `grad-audit`.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -49,7 +50,9 @@ from .latent import (
     write_image_strip,
 )
 from .numerics import Rng, read_tensor, write_tensor
-from .signal import StftConfig, denormalize, istft_phase_borrow, read_wav, stft, write_wav
+from .signal import (
+    DEFAULT_SAMPLE_RATE, StftConfig, denormalize, istft_phase_borrow, read_wav, stft, write_wav,
+)
 from .train import TrainConfig, build_model, grad_audit, load_checkpoint, train_loop
 
 EXIT_OK = 0
@@ -102,40 +105,42 @@ def _as_bool(value):
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-# Section -> key -> (default, coercion).  This table is the whole config
-# surface: dotted flags are generated from it and unknown keys are rejected
-# against it.
+# Coercion per dataclass field annotation (a string: the config modules
+# use postponed annotations).
+_COERCIONS = {
+    "int": _as_int,
+    "float": _as_float,
+    "float | None": _as_opt_float,
+    "bool": _as_bool,
+}
+
+
+def _section(cls, *omit: str) -> dict:
+    return {
+        f.name: (f.default, _COERCIONS[f.type])
+        for f in dataclasses.fields(cls)
+        if f.name not in omit
+    }
+
+
+# Section -> key -> (default, coercion), derived from the config dataclasses.
+# This table is the whole config surface: dotted flags are generated from it
+# and unknown keys are rejected against it.  The data section gives the STFT
+# in milliseconds at a sample rate (stft_config() converts it); the vowel
+# set, the input shape and the seed are set elsewhere.
+_STFT = StftConfig()
+_STFT_KEYS = ("sample_rate", "window_ms", "hop_ms", "fft_size")
 _SCHEMA = {
     "data": {
-        "sample_rate": (16000, _as_int),
-        "window_ms": (25.0, _as_float),
-        "hop_ms": (1.0, _as_float),
-        "fft_size": (512, _as_int),
-        "image_size": (32, _as_int),
-        "noise_snr_db": (None, _as_opt_float),
-        "train_fraction": (0.9, _as_float),
-        "write_wavs": (False, _as_bool),
+        "sample_rate": (DEFAULT_SAMPLE_RATE, _as_int),
+        "window_ms": (1000.0 * _STFT.window_len / DEFAULT_SAMPLE_RATE, _as_float),
+        "hop_ms": (1000.0 * _STFT.hop / DEFAULT_SAMPLE_RATE, _as_float),
+        "fft_size": (_STFT.fft_size, _as_int),
+        **_section(DatasetConfig, "stft"),
     },
-    "synth": {
-        "n_speakers": (4, _as_int),
-        "draws_per_vowel": (10, _as_int),
-    },
-    "flow": {
-        "levels": (3, _as_int),
-        "depth": (2, _as_int),
-        "coupling_width": (32, _as_int),
-    },
-    "train": {
-        "steps": (500, _as_int),
-        "batch_size": (16, _as_int),
-        "lr": (1e-4, _as_float),
-        "beta1": (0.9, _as_float),
-        "beta2": (0.999, _as_float),
-        "eps": (1e-8, _as_float),
-        "clip_norm": (50.0, _as_float),
-        "jitter": (0.01, _as_float),
-        "checkpoint_every": (100, _as_int),
-    },
+    "synth": _section(SyntheticSpec, "vowels"),
+    "flow": _section(FlowConfig, "input_shape"),
+    "train": _section(TrainConfig, "seed"),
 }
 
 
@@ -163,44 +168,18 @@ class RunConfig:
 
     def dataset_config(self) -> DatasetConfig:
         d = self.sections["data"]
-        return DatasetConfig(
-            image_size=d["image_size"],
-            stft=self.stft_config(),
-            noise_snr_db=d["noise_snr_db"],
-            train_fraction=d["train_fraction"],
-            write_wavs=d["write_wavs"],
-        )
+        fields = {k: v for k, v in d.items() if k not in _STFT_KEYS}
+        return DatasetConfig(**fields, stft=self.stft_config())
 
     def synthetic_spec(self) -> SyntheticSpec:
-        s = self.sections["synth"]
-        return SyntheticSpec(
-            n_speakers=s["n_speakers"], draws_per_vowel=s["draws_per_vowel"]
-        )
+        return SyntheticSpec(**self.sections["synth"])
 
     def flow_config(self) -> FlowConfig:
-        f = self.sections["flow"]
         size = self.sections["data"]["image_size"]
-        return FlowConfig(
-            levels=f["levels"],
-            depth=f["depth"],
-            coupling_width=f["coupling_width"],
-            input_shape=(1, size, size),
-        )
+        return FlowConfig(**self.sections["flow"], input_shape=(1, size, size))
 
     def train_config(self) -> TrainConfig:
-        t = self.sections["train"]
-        return TrainConfig(
-            steps=t["steps"],
-            batch_size=t["batch_size"],
-            lr=t["lr"],
-            beta1=t["beta1"],
-            beta2=t["beta2"],
-            eps=t["eps"],
-            clip_norm=t["clip_norm"],
-            jitter=t["jitter"],
-            seed=self.seed,
-            checkpoint_every=t["checkpoint_every"],
-        )
+        return TrainConfig(**self.sections["train"], seed=self.seed)
 
 
 def _set_key(sections: dict, section: str, key: str, value, origin: str) -> None:
@@ -332,25 +311,13 @@ def _nats_per_dim(lnp: np.ndarray, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_synth_data(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    manifest = build_corpus(
-        cfg.synthetic_spec(), cfg.dataset_config(), Rng(cfg.seed), out
-    )
+def cmd_build_corpus(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
+    """`synth-data` from the synthesizer, `prepare` from a real corpus tree."""
+    source = getattr(args, "corpus_root", None) or cfg.synthetic_spec()
+    manifest = build_corpus(source, cfg.dataset_config(), Rng(cfg.seed), out)
     n_train = len(manifest.train_indices())
     _info(
-        f"synth-data: {len(manifest.entries)} segments "
-        f"({n_train} train) in {out}"
-    )
-    return EXIT_OK
-
-
-def cmd_prepare(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    manifest = build_corpus(
-        args.corpus_root, cfg.dataset_config(), Rng(cfg.seed), out
-    )
-    n_train = len(manifest.train_indices())
-    _info(
-        f"prepare: {len(manifest.entries)} segments "
+        f"{args.command}: {len(manifest.entries)} segments "
         f"({n_train} train) in {out}"
     )
     return EXIT_OK
@@ -362,17 +329,31 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     with CorpusReader(corpus) as reader:
         pixels = reader.load(_split_indices(manifest, "train"))
 
+    train_config = cfg.train_config()
     resume = None
     if args.resume is not None:
         resume = load_checkpoint(args.resume)
         model = resume.model
+        saved = {"flow": model.config, "train": resume.train_config}
+        now = {"flow": cfg.flow_config(), "train": train_config}
+        changed = [
+            f"{section}.{key}"
+            for section, config in saved.items()
+            for key, value in dataclasses.asdict(config).items()
+            if key != "steps" and value != getattr(now[section], key)
+        ]
+        if changed:
+            raise UsageError(
+                f"--resume: {', '.join(changed)} differ from the checkpoint "
+                "(only train.steps may change)"
+            )
     else:
         model = build_model(cfg.flow_config(), cfg.seed)
 
     result = train_loop(
         model,
         pixels,
-        cfg.train_config(),
+        train_config,
         out,
         resume=resume,
         stats=manifest.stats,
@@ -825,9 +806,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    command("synth-data", cmd_synth_data, "build the synthetic vowel corpus")
+    command("synth-data", cmd_build_corpus, "build the synthetic vowel corpus")
 
-    p = command("prepare", cmd_prepare, "ingest a real corpus tree")
+    p = command("prepare", cmd_build_corpus, "ingest a real corpus tree")
     p.add_argument("--corpus-root", required=True, metavar="DIR",
                    help="root with wav/ and aligned phone label files")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +227,26 @@ def _pool(image: np.ndarray, size: int) -> np.ndarray:
     return image.reshape(size, factor, size, factor).mean(axis=(1, 3))
 
 
+def _magnitude_to_image(
+    mag: np.ndarray, stats: tuple[float, float], image_size: int
+) -> np.ndarray:
+    """(T <= 288, 257) STFT magnitude -> (1, S, S) normalized image.
+
+    Appends 31 zero frequency bands, normalizes, zero-pads the time axis
+    to 288 frames (padding rows take the normalized-zero constant), then
+    average-pools to `image_size` when a desk-scale size is configured.
+    """
+    t = mag.shape[0]
+    mag = np.concatenate([mag, np.zeros((t, FREQ_ZERO_BANDS))], axis=1)
+    image = np.full((FULL_FRAMES, mag.shape[1]), padding_value(stats))
+    image[:t] = log_normalize(mag, stats)
+    if image.shape != (FULL_FRAMES, FULL_FRAMES):
+        raise ValueError(f"expected {FULL_FRAMES}x{FULL_FRAMES} image, got {image.shape}")
+    if image_size != FULL_FRAMES:
+        image = _pool(image, image_size)
+    return image[None]
+
+
 def segment_to_spectrogram(
     w: Waveform,
     rec: SegmentRecord,
@@ -236,10 +256,8 @@ def segment_to_spectrogram(
 ) -> Spectrogram | None:
     """Build the fixed-size normalized image for one segment.
 
-    Pipeline: STFT magnitude, append 31 zero frequency bands, normalize,
-    zero-pad the time axis to 288 frames (padding rows take the
-    normalized-zero constant), then average-pool to `image_size` when a
-    desk-scale size is configured.  Returns None (discard) when the
+    Takes the segment's STFT magnitude and shapes it as
+    `_magnitude_to_image` does.  Returns None (discard) when the
     segment spans more than 288 frames.
     """
     if rec.start_sample < 0 or rec.end_sample > len(w.samples):
@@ -248,28 +266,11 @@ def segment_to_spectrogram(
             f"of {len(w.samples)} samples"
         )
     seg = Waveform(w.samples[rec.start_sample:rec.end_sample], w.sample_rate)
-    spec = stft(seg, stft_config.window_len, stft_config.hop, stft_config.fft_size)
-    mag = spec.magnitude
-    t = mag.shape[0]
-    if t > FULL_FRAMES:
+    mag = stft(seg, stft_config.window_len, stft_config.hop, stft_config.fft_size).magnitude
+    if mag.shape[0] > FULL_FRAMES:
         return None
-    mag = np.concatenate([mag, np.zeros((t, FREQ_ZERO_BANDS))], axis=1)
-    image = np.full((FULL_FRAMES, mag.shape[1]), padding_value(stats))
-    image[:t] = log_normalize(mag, stats)
-    if image.shape != (FULL_FRAMES, FULL_FRAMES):
-        raise ValueError(f"expected {FULL_FRAMES}x{FULL_FRAMES} image, got {image.shape}")
-    if image_size != FULL_FRAMES:
-        image = _pool(image, image_size)
-    return Spectrogram(pixels=image[None], record=rec, valid_frames=t)
-
-
-def add_jitter(pixels: np.ndarray, rng: Rng, delta: float) -> np.ndarray:
-    """Pixels plus i.i.d. uniform(-delta, +delta) dequantization noise."""
-    if delta < 0:
-        raise ValueError(f"jitter delta must be nonnegative, got {delta}")
-    if delta == 0:
-        return np.array(pixels, copy=True)
-    return pixels + rng.uniform(-delta, delta, pixels.shape)
+    pixels = _magnitude_to_image(mag, stats, image_size)
+    return Spectrogram(pixels=pixels, record=rec, valid_frames=mag.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +357,7 @@ def build_corpus(
 
     if isinstance(source, SyntheticSpec):
         raw = _synthetic_segments(source, rng)
-        source_echo = {
-            "kind": "synthetic",
-            "n_speakers": source.n_speakers,
-            "draws_per_vowel": source.draws_per_vowel,
-            "vowels": list(source.vowels),
-        }
+        source_echo = {"kind": "synthetic", **asdict(source)}
     else:
         raw = _real_corpus_segments(Path(source), VOWELS)
         source_echo = {"kind": "real", "root": str(source)}
@@ -373,7 +369,6 @@ def build_corpus(
 
     # materialize segment waveforms, attach noisy twins, drop unusable segments
     segments: list[tuple[SegmentRecord, Waveform, np.ndarray]] = []  # (rec, wave, mag)
-    n_discarded = 0
     cfg = config.stft
     for item in raw:
         rec = item.record
@@ -382,26 +377,15 @@ def build_corpus(
             item.waveform.sample_rate,
         )
         if len(sliced.samples) < cfg.window_len:
-            n_discarded += 1  # shorter than one analysis window
-            continue
+            continue  # shorter than one analysis window
         variants = [(rec, sliced)]
         if config.noise_snr_db is not None:
-            twin = SegmentRecord(
-                utterance_id=rec.utterance_id,
-                speaker_id=rec.speaker_id,
-                gender=rec.gender,
-                vowel=rec.vowel,
-                start_sample=rec.start_sample,
-                end_sample=rec.end_sample,
-                noise_snr_db=config.noise_snr_db,
-            )
+            twin = replace(rec, noise_snr_db=config.noise_snr_db)
             variants.append((twin, add_white_noise(sliced, noise_rng, config.noise_snr_db)))
         for vrec, vwave in variants:
             mag = stft(vwave, cfg.window_len, cfg.hop, cfg.fft_size).magnitude
-            if mag.shape[0] > FULL_FRAMES:
-                n_discarded += 1
-                continue
-            segments.append((vrec, vwave, mag))
+            if mag.shape[0] <= FULL_FRAMES:  # longer segments are discarded
+                segments.append((vrec, vwave, mag))
 
     if not segments:
         raise ValueError("all segments were discarded")
@@ -430,11 +414,7 @@ def build_corpus(
     config_echo = {
         "source": source_echo,
         "image_size": config.image_size,
-        "stft": {
-            "window_len": cfg.window_len,
-            "hop": cfg.hop,
-            "fft_size": cfg.fft_size,
-        },
+        "stft": asdict(cfg),
         "noise_snr_db": config.noise_snr_db,
         "train_fraction": config.train_fraction,
         "seed": rng.seed,
@@ -445,17 +425,10 @@ def build_corpus(
     if config.write_wavs:
         wav_dir.mkdir(exist_ok=True)
     with open(out_dir / "corpus.fstn", "wb") as archive:
-        for rec, wave_seg, _ in segments:
-            # record bounds are relative to the already-sliced waveform here
-            whole = SegmentRecord(
-                rec.utterance_id, rec.speaker_id, rec.gender, rec.vowel,
-                0, len(wave_seg.samples), rec.noise_snr_db,
-            )
-            spec = segment_to_spectrogram(wave_seg, whole, cfg, stats, config.image_size)
-            assert spec is not None  # long segments were dropped above
+        for rec, wave_seg, mag in segments:
             offset = archive.tell()
-            write_tensor_to(archive, spec.pixels)
-            entries.append(ManifestEntry(record=rec, valid_frames=spec.valid_frames, offset=offset))
+            write_tensor_to(archive, _magnitude_to_image(mag, stats, config.image_size))
+            entries.append(ManifestEntry(record=rec, valid_frames=mag.shape[0], offset=offset))
             if config.write_wavs:
                 suffix = "noisy" if rec.noise_snr_db is not None else "clean"
                 write_wav(wav_dir / f"{rec.utterance_id}.{suffix}.wav", wave_seg)

@@ -6,8 +6,7 @@ log |det dz/dx|; inverse reconstructs x exactly.  Every layer also
 implements a hand-derived reverse-mode `backward` so the model can be
 trained by exact maximum likelihood without an autodiff framework.
 
-Shape convention: batched tensors are (B, C, H, W); per-example entry
-points accept (C, H, W).
+Shape convention: tensors are batched, (B, C, H, W).
 """
 
 from __future__ import annotations
@@ -80,22 +79,6 @@ class CodePart:
     def size(self) -> int:
         c, h, w = self.shape
         return c * h * w
-
-
-@dataclass
-class LatentCode:
-    """Flattened code z with the layout of its multi-scale parts."""
-
-    flat: np.ndarray
-    layout: tuple[CodePart, ...]
-
-    def __post_init__(self):
-        self.flat = np.asarray(self.flat, dtype=np.float64)
-        if self.flat.shape != (sum(p.size for p in self.layout),):
-            raise ShapeError(
-                f"code length {self.flat.shape} does not match layout "
-                f"({sum(p.size for p in self.layout)} dims)"
-            )
 
 
 def prior_logprob(z: np.ndarray) -> np.ndarray | float:
@@ -491,8 +474,7 @@ class FlowModel:
 
     def unflatten_code(self, z: np.ndarray) -> list[np.ndarray]:
         z = np.asarray(z, dtype=np.float64)
-        single = z.ndim == 1
-        if single:
+        if z.ndim == 1:
             z = z[None]
         if z.shape[1] != self.code_size:
             raise ShapeError(f"code length {z.shape[1]} != {self.code_size}")
@@ -500,16 +482,3 @@ class FlowModel:
             z[:, p.offset : p.offset + p.size].reshape(z.shape[0], *p.shape)
             for p in self._layout
         ]
-
-    # -- single-example conveniences -------------------------------------------
-
-    def encode(self, x: np.ndarray) -> tuple[LatentCode, float]:
-        """One spectrogram -> (code, ln p(x)); no jitter, deterministic."""
-        parts, logdet, _ = self.forward(np.asarray(x)[None])
-        flat = self.flatten_parts(parts)[0]
-        lnp = prior_logprob(flat) + float(logdet[0])
-        return LatentCode(flat=flat, layout=self._layout), lnp
-
-    def decode(self, code: LatentCode | np.ndarray) -> np.ndarray:
-        flat = code.flat if isinstance(code, LatentCode) else np.asarray(code)
-        return self.inverse(self.unflatten_code(flat))[0]

@@ -180,26 +180,6 @@ def denoise(
 # gaussianity diagnostics
 
 
-def skewness(x: np.ndarray, axis: int = 0) -> np.ndarray | float:
-    """Biased sample skewness m3 / m2^1.5 (population-moment convention)."""
-    x = np.asarray(x, dtype=np.float64)
-    c = x - x.mean(axis=axis, keepdims=True)
-    m2 = np.mean(c**2, axis=axis)
-    m3 = np.mean(c**3, axis=axis)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return m3 / m2**1.5
-
-
-def excess_kurtosis(x: np.ndarray, axis: int = 0) -> np.ndarray | float:
-    """Biased excess kurtosis m4 / m2^2 - 3; 0 for a normal population."""
-    x = np.asarray(x, dtype=np.float64)
-    c = x - x.mean(axis=axis, keepdims=True)
-    m2 = np.mean(c**2, axis=axis)
-    m4 = np.mean(c**4, axis=axis)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return m4 / m2**2 - 3.0
-
-
 @dataclass
 class GaussianityReport:
     """Per-dimension shape statistics of a code population."""
@@ -223,6 +203,10 @@ class GaussianityReport:
 
 def gaussianity_report(z: np.ndarray, dims=None) -> GaussianityReport:
     """Skewness and excess kurtosis per code dimension.
+
+    Both are biased sample moments (population convention): skewness
+    m3 / m2^1.5 and excess kurtosis m4 / m2^2 - 3, which is 0 for a
+    normal population.
 
     `dims` optionally restricts the report to a subset of dimension
     indices (useful when d is large).  Dimensions with exactly zero
@@ -298,12 +282,6 @@ class LdaProbe:
     fisher_ratio: float
 
 
-def _within_scatter(z_a: np.ndarray, z_b: np.ndarray) -> np.ndarray:
-    ca = z_a - z_a.mean(axis=0, keepdims=True)
-    cb = z_b - z_b.mean(axis=0, keepdims=True)
-    return ca.T @ ca + cb.T @ cb
-
-
 def _deterministic_sign(v: np.ndarray) -> np.ndarray:
     pivot = int(np.argmax(np.abs(v)))
     return -v if v[pivot] < 0 else v
@@ -326,7 +304,9 @@ def lda_fit(
     if not np.any(diff):
         raise DegenerateProbeError("class means are identical")
 
-    sw = _within_scatter(z_a, z_b)
+    ca = z_a - mean_a[None, :]
+    cb = z_b - mean_b[None, :]
+    sw = ca.T @ ca + cb.T @ cb
     lam = LDA_SHRINKAGE * float(np.trace(sw)) / d
     if lam > 0:
         w1 = np.linalg.solve(sw + lam * np.eye(d), diff)
@@ -335,9 +315,7 @@ def lda_fit(
         w1 = diff.copy()
     w1 /= np.linalg.norm(w1)
 
-    pooled = np.concatenate(
-        [z_a - mean_a[None, :], z_b - mean_b[None, :]], axis=0
-    )
+    pooled = np.concatenate([ca, cb], axis=0)
     residual = pooled - np.outer(pooled @ w1, w1)
     cov = residual.T @ residual
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -357,12 +335,6 @@ def lda_fit(
     else:
         w2 = w2 - (w2 @ w1) * w1
         w2 /= np.linalg.norm(w2)
-    gap = float(w1 @ diff)
-    within = float(w1 @ sw @ w1)
-    if within == 0.0:
-        ratio = math.inf if gap != 0.0 else 0.0
-    else:
-        ratio = gap * gap / within
     return LdaProbe(
         direction_1=w1,
         direction_2=_deterministic_sign(w2),
@@ -370,7 +342,7 @@ def lda_fit(
         mean_b=mean_b,
         labels=tuple(labels),
         shrinkage=lam,
-        fisher_ratio=ratio,
+        fisher_ratio=fisher_ratio(z_a, z_b, w1),
     )
 
 
@@ -387,9 +359,13 @@ def fisher_ratio(z_a: np.ndarray, z_b: np.ndarray, direction: np.ndarray) -> flo
     w = w / norm
     z_a = np.asarray(z_a, dtype=np.float64)
     z_b = np.asarray(z_b, dtype=np.float64)
-    gap = float(w @ (z_b.mean(axis=0) - z_a.mean(axis=0)))
+    mean_a = z_a.mean(axis=0)
+    mean_b = z_b.mean(axis=0)
+    gap = float(w @ (mean_b - mean_a))
     between = gap * gap
-    within = float(w @ _within_scatter(z_a, z_b) @ w)
+    pa = (z_a - mean_a) @ w
+    pb = (z_b - mean_b) @ w
+    within = float(pa @ pa + pb @ pb)
     if within == 0.0:
         return math.inf if between > 0.0 else 0.0
     return between / within

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
+import scipy.linalg
 
 PIVOT_TOL = 1e-12
 
@@ -113,17 +114,6 @@ def randn(rng: Rng, shape) -> np.ndarray:
 # linear algebra
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
 @dataclass
 class LuFactors:
     """Partial-pivoting LU factorization P A = L U.
@@ -146,53 +136,46 @@ class LuFactors:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b for one or many right-hand sides."""
         b = np.asarray(b, dtype=np.float64)
-        squeeze = b.ndim == 1
-        if squeeze:
-            b = b[:, None]
         n = self.upper.shape[0]
         if b.shape[0] != n:
             raise ShapeError(f"rhs has {b.shape[0]} rows, expected {n}")
-        y = b[self.perm].copy()
-        for i in range(1, n):  # forward substitution, L unit diagonal
-            y[i] -= self.lower[i, :i] @ y[:i]
-        x = y
-        for i in range(n - 1, -1, -1):  # back substitution
-            x[i] -= self.upper[i, i + 1:] @ x[i + 1:]
-            x[i] /= self.upper[i, i]
-        return x[:, 0] if squeeze else x
+        y = scipy.linalg.solve_triangular(
+            self.lower, b[self.perm], lower=True, unit_diagonal=True, check_finite=False
+        )
+        return scipy.linalg.solve_triangular(self.upper, y, check_finite=False)
 
 
 def lu_decompose(a: np.ndarray) -> LuFactors:
-    """LU factorization with partial (row) pivoting.
+    """LU factorization with partial (row) pivoting (LAPACK getrf).
 
-    Raises SingularMatrixError when the best available pivot falls
-    below PIVOT_TOL in absolute value.
+    Raises SingularMatrixError when a pivot falls below PIVOT_TOL in
+    absolute value.
     """
-    a = np.array(a, dtype=np.float64, copy=True)
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"lu_decompose expects a square matrix, got {a.shape}")
-    n = a.shape[0]
-    perm = np.arange(n)
-    sign = 1
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) < PIVOT_TOL:
-            raise SingularMatrixError(f"pivot {a[p, k]:.3e} below {PIVOT_TOL} at column {k}")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            sign = -sign
-        a[k + 1:, k] /= a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    lower = np.tril(a, -1) + np.eye(n)
-    upper = np.triu(a)
-    return LuFactors(perm=perm, lower=lower, upper=upper, sign=sign)
+    # NaN/Inf pass through (check_finite=False) so a diverged weight shows
+    # up as a non-finite layer output, not as an error from here.
+    rows, lower, upper = scipy.linalg.lu(a, p_indices=True, check_finite=False)
+    small = np.flatnonzero(np.abs(np.diag(upper)) < PIVOT_TOL)
+    if small.size:
+        k = small[0]
+        raise SingularMatrixError(f"pivot {upper[k, k]:.3e} below {PIVOT_TOL} at column {k}")
+    perm = np.argsort(rows)  # a == lower[rows] @ upper
+    inversions = np.count_nonzero(np.triu(perm[:, None] > perm[None, :], 1))
+    return LuFactors(perm=perm, lower=lower, upper=upper, sign=-1 if inversions % 2 else 1)
 
 
 def mat_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular square matrix via LU solves."""
-    lu = lu_decompose(a)
-    return lu.solve(np.eye(lu.upper.shape[0]))
+    """Inverse of a nonsingular square matrix (LAPACK getrf + getri).
+
+    Not `lu_decompose(a).solve(I)`: scipy's multi-column triangular solve
+    wakes the threads of scipy's own OpenBLAS, which then compete with
+    numpy's BLAS threads (desk-size training ran about 1.6x slower on a
+    2-core VM with default thread counts).
+    """
+    lu_decompose(a)  # ShapeError or SingularMatrixError before inverting
+    return scipy.linalg.inv(a, check_finite=False)
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +199,12 @@ def _im2col(x_padded: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h * w)
 
 
-def conv2d(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    bias: np.ndarray,
-    padding: str = "same",
-) -> np.ndarray:
+def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Cross-correlation with "same" zero padding plus per-channel bias.
 
     Accepts a single image (C, H, W) or a batch (B, C, H, W); the
     output keeps the input's layout with O channels.
     """
-    if padding != "same":
-        raise ValueError(f"only 'same' padding is supported, got {padding!r}")
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
@@ -305,21 +281,27 @@ def write_tensor_to(fp: BinaryIO, arr: np.ndarray) -> int:
     return len(header) + len(payload)
 
 
+def read_exact(fp: BinaryIO, n: int, what: str) -> bytes:
+    """Exactly `n` bytes from the stream; ValueError on a short read."""
+    raw = fp.read(n)
+    if len(raw) != n:
+        raise ValueError(f"truncated {what}: expected {n} bytes, got {len(raw)}")
+    return raw
+
+
 def read_tensor_from(fp: BinaryIO) -> np.ndarray:
     """Read one FSTN record from the current stream position."""
     magic = fp.read(4)
     if magic != FSTN_MAGIC:
         raise ValueError(f"bad FSTN magic {magic!r}")
-    version, rank = struct.unpack("<II", fp.read(8))
+    version, rank = struct.unpack("<II", read_exact(fp, 8, "FSTN header"))
     if version != FSTN_VERSION:
         raise ValueError(f"unsupported FSTN version {version}")
     if rank > 32:
         raise ValueError(f"implausible FSTN rank {rank}")
-    shape = struct.unpack(f"<{rank}I", fp.read(4 * rank))
+    shape = struct.unpack(f"<{rank}I", read_exact(fp, 4 * rank, "FSTN shape"))
     count = int(np.prod(shape)) if rank else 1
-    raw = fp.read(8 * count)
-    if len(raw) != 8 * count:
-        raise ValueError("truncated FSTN payload")
+    raw = read_exact(fp, 8 * count, "FSTN payload")
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 

@@ -49,9 +49,6 @@ class Waveform:
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
 
 @dataclass
 class ComplexStft:
@@ -72,10 +69,6 @@ class StftConfig:
     window_len: int = 400  # 25 ms at 16 kHz
     hop: int = 16  # 1 ms
     fft_size: int = 512  # 257 one-sided bins
-
-    @property
-    def n_bins(self) -> int:
-        return self.fft_size // 2 + 1
 
 
 def frame_count(n_samples: int, window_len: int, hop: int) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import FlowConfig, FlowModel, NonFiniteError, prior_logprob
-from .numerics import Rng, read_tensor_from, write_tensor_to
+from .numerics import Rng, read_exact, read_tensor_from, write_tensor_to
 
 CHECKPOINT_MAGIC = b"FSCK"
 CHECKPOINT_VERSION = 1
@@ -216,21 +216,24 @@ class LoadedCheckpoint:
 
 
 def load_checkpoint(path: str | os.PathLike) -> LoadedCheckpoint:
+    """Read a checkpoint; a short or malformed file raises CheckpointError."""
+    try:
+        return _read_checkpoint(path)
+    except ValueError as exc:  # short reads, bad JSON, bad tensor records
+        raise CheckpointError(f"{path}: {exc}") from exc
+
+
+def _read_checkpoint(path: str | os.PathLike) -> LoadedCheckpoint:
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+            raise CheckpointError("not a checkpoint file")
+        (version,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint version"))
         if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        (length,) = struct.unpack("<Q", fh.read(8))
-        meta = json.loads(fh.read(length).decode("utf-8"))
-        flow_config = FlowConfig(
-            levels=meta["flow_config"]["levels"],
-            depth=meta["flow_config"]["depth"],
-            coupling_width=meta["flow_config"]["coupling_width"],
-            input_shape=tuple(meta["flow_config"]["input_shape"]),
-        )
-        model = FlowModel(flow_config)
+            raise CheckpointError(f"unsupported version {version}")
+        (length,) = struct.unpack("<Q", read_exact(fh, 8, "checkpoint header length"))
+        meta = json.loads(read_exact(fh, length, "checkpoint header").decode("utf-8"))
+        flow = meta["flow_config"]
+        model = FlowModel(FlowConfig(**{**flow, "input_shape": tuple(flow["input_shape"])}))
         names = meta["param_names"]
         model.set_params({name: read_tensor_from(fh) for name in names})
         if meta["actnorms_initialized"]:
@@ -292,6 +295,23 @@ class TrainResult:
     losses: list[float] = field(repr=False, default_factory=list)
 
 
+def _cut_metrics(path: str, step: int) -> None:
+    """Truncate a metrics file after the row of `step`.
+
+    Rows logged after the checkpoint a run resumes from, and a row cut
+    short by a crash, are dropped so the resumed run logs each step once.
+    """
+    with open(path, "rb+") as fh:
+        keep = 0
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
+            if line[:1].isdigit() and int(line.split(b",")[0]) > step:
+                break
+            keep += len(line)
+        fh.truncate(keep)
+
+
 def build_model(flow_config: FlowConfig, seed: int) -> FlowModel:
     """Fresh model whose init draws come from a stream reserved for init."""
     return FlowModel(flow_config, rng=Rng(seed).spawn(0))
@@ -313,7 +333,8 @@ def train_loop(
     Each step samples a batch uniformly with replacement and adds
     Gaussian jitter.  Writes `metrics.csv` and a rolling
     `checkpoint.fsck` under `out_dir`; with `resume`, continues from the
-    checkpoint's step and appends to the existing metrics file.
+    checkpoint's step and appends to the existing metrics file, cut back
+    to that step.
     `stats` is embedded in checkpoints; `comment` becomes a `#` line at
     the top of a fresh metrics file.
     """
@@ -324,31 +345,31 @@ def train_loop(
     metrics_path = os.path.join(os.fspath(out_dir), "metrics.csv")
     ckpt_path = os.path.join(os.fspath(out_dir), "checkpoint.fsck")
 
+    rng = Rng(config.seed).spawn(1)
+    detector = DivergenceDetector()
     if resume is None:
-        rng = Rng(config.seed).spawn(1)
         adam = AdamState.zeros_like(model.params())
         start_step = 0
-        detector = DivergenceDetector()
         mode = "w"
     else:
-        rng = Rng(config.seed).spawn(1)
         rng.state = resume.rng_state
         adam = resume.adam
         start_step = resume.step
-        detector = DivergenceDetector()
         detector.initial = resume.initial_loss
         if stats is None:
             stats = resume.stats
-        mode = "a"
         if start_step >= config.steps:
             raise ValueError(
                 f"checkpoint is at step {start_step}, nothing left of {config.steps}"
             )
+        mode = "a"
+        if os.path.exists(metrics_path):
+            _cut_metrics(metrics_path, start_step)
 
     losses: list[float] = []
     last_ckpt = ckpt_path if resume is not None else None
     with open(metrics_path, mode, encoding="utf-8") as metrics:
-        if resume is None:
+        if metrics.tell() == 0:
             if comment:
                 metrics.write(f"# {comment}\n")
             metrics.write(METRICS_HEADER + "\n")

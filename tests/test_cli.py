@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,42 @@ TINY_FLAGS = [
     "--train.lr", "1e-3",
     "--train.checkpoint_every", "6",
 ]
+
+
+# The whole config surface: every --section.key flag with its default, and
+# the default echo embedded in artifacts.
+DEFAULTS = {
+    "data.sample_rate": 16000,
+    "data.window_ms": 25.0,
+    "data.hop_ms": 1.0,
+    "data.fft_size": 512,
+    "data.image_size": 32,
+    "data.noise_snr_db": None,
+    "data.train_fraction": 0.9,
+    "data.write_wavs": False,
+    "synth.n_speakers": 4,
+    "synth.draws_per_vowel": 10,
+    "flow.levels": 3,
+    "flow.depth": 2,
+    "flow.coupling_width": 32,
+    "train.steps": 500,
+    "train.batch_size": 16,
+    "train.lr": 1e-4,
+    "train.beta1": 0.9,
+    "train.beta2": 0.999,
+    "train.eps": 1e-8,
+    "train.clip_norm": 50.0,
+    "train.jitter": 0.01,
+    "train.checkpoint_every": 100,
+}
+DEFAULT_ECHO = (
+    '{"data": {"fft_size": 512, "hop_ms": 1.0, "image_size": 32, "noise_snr_db": null, '
+    '"sample_rate": 16000, "train_fraction": 0.9, "window_ms": 25.0, "write_wavs": false}, '
+    '"flow": {"coupling_width": 32, "depth": 2, "levels": 3}, "seed": 0, '
+    '"synth": {"draws_per_vowel": 10, "n_speakers": 4}, '
+    '"train": {"batch_size": 16, "beta1": 0.9, "beta2": 0.999, "checkpoint_every": 100, '
+    '"clip_norm": 50.0, "eps": 1e-08, "jitter": 0.01, "lr": 0.0001, "steps": 500}}'
+)
 
 
 def run(out_dir, *argv):
@@ -206,6 +243,19 @@ class TestConfigMerging:
         with pytest.raises(UsageError):
             parse_config(["--config", str(path), "synth-data"])
 
+    def test_config_surface_is_pinned(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        flags = set(re.findall(r"--(\w+\.\w+)", capsys.readouterr().out))
+        cfg = parse_config(["synth-data"])
+        defaults = {
+            f"{section}.{key}": value
+            for section, keys in cfg.sections.items()
+            for key, value in keys.items()
+        }
+        assert flags == set(DEFAULTS) and len(flags) == 22
+        assert defaults == DEFAULTS
+        assert cfg.echo() == DEFAULT_ECHO
+
     def test_echo_is_one_line_json(self):
         cfg = parse_config(["--seed", "3", "synth-data"])
         doc = json.loads(cfg.echo())
@@ -327,6 +377,25 @@ class TestArtifacts:
         # 2 levels x 1 step x 9 parameter tensors per step
         assert len(names) == 18
         assert "level0.step0.invconv.weight" in names
+
+
+class TestResume:
+    def test_matching_resume_continues(self, pipeline, tmp_path):
+        checkpoint = str(pipeline / "checkpoint.fsck")
+        rc = run(tmp_path, "train", "--data", str(pipeline), "--resume", checkpoint,
+                 "--train.steps", "14")
+        assert rc == EXIT_OK
+        rows = (tmp_path / "metrics.csv").read_text().splitlines()[2:]
+        assert [int(r.split(",")[0]) for r in rows] == [13, 14]
+
+    @pytest.mark.parametrize("flag, value", [("--train.lr", "3e-3"), ("--flow.depth", "2")])
+    def test_changed_config_is_usage_error(self, pipeline, tmp_path, capsys, flag, value):
+        checkpoint = str(pipeline / "checkpoint.fsck")
+        rc = run(tmp_path, "train", "--data", str(pipeline), "--resume", checkpoint,
+                 "--train.steps", "14", flag, value)
+        assert rc == EXIT_USAGE
+        assert flag[2:] in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from vowelflow import dataset
 from vowelflow.dataset import (
     AlignmentParseError,
     CorpusReader,
@@ -12,7 +13,6 @@ from vowelflow.dataset import (
     ManifestEntry,
     SegmentRecord,
     SyntheticSpec,
-    add_jitter,
     build_corpus,
     extract_segments,
     load_manifest,
@@ -21,7 +21,7 @@ from vowelflow.dataset import (
     segment_to_spectrogram,
 )
 from vowelflow.numerics import Rng
-from vowelflow.signal import StftConfig, Waveform, synth_vowel, write_wav
+from vowelflow.signal import StftConfig, Waveform, stft, synth_vowel, write_wav
 
 
 class TestParseAlignment:
@@ -116,27 +116,6 @@ class TestSegmentToSpectrogram:
             segment_to_spectrogram(w, rec, StftConfig(), STATS, 288)
 
 
-class TestAddJitter:
-    def test_zero_delta_identity(self):
-        x = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_array_equal(add_jitter(x, Rng(7), 0.0), x)
-
-    def test_bounded(self):
-        x = np.zeros((50, 50))
-        out = add_jitter(x, Rng(8), 0.01)
-        assert np.max(np.abs(out - x)) <= 0.01
-
-    def test_determinism(self):
-        x = np.ones((5, 5))
-        np.testing.assert_array_equal(
-            add_jitter(x, Rng(9), 0.1), add_jitter(x, Rng(9), 0.1)
-        )
-
-    def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            add_jitter(np.zeros(3), Rng(10), -0.1)
-
-
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
@@ -159,6 +138,19 @@ class TestBuildCorpus:
         build_corpus(spec, cfg, Rng(5), b_dir)
         for name in ("corpus.fstn", "manifest.jsonl", "corpus.json"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+    def test_one_stft_per_segment(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted_stft(*args, **kwargs):
+            calls.append(args)
+            return stft(*args, **kwargs)
+
+        monkeypatch.setattr(dataset, "stft", counted_stft)
+        spec = SyntheticSpec(n_speakers=1, draws_per_vowel=2)
+        cfg = DatasetConfig(image_size=32, noise_snr_db=10.0)
+        manifest = build_corpus(spec, cfg, Rng(6), tmp_path)
+        assert len(calls) == len(manifest.entries) == 20
 
     def test_noisy_twins_iff_configured(self, tmp_path, small_corpus):
         _, clean_manifest = small_corpus

@@ -21,13 +21,13 @@ from vowelflow.flow import (
     FlowConfig,
     FlowModel,
     InvConv,
-    LatentCode,
     NonFiniteError,
     UninitializedActNorm,
     prior_logprob,
     squeeze,
     unsqueeze,
 )
+from vowelflow.latent import decode_batch, encode_batch
 from vowelflow.numerics import Rng, ShapeError
 
 FD_STEP = 1e-5
@@ -369,8 +369,6 @@ class TestModelLayout:
         model = make_identity_model(tiny_config())
         with pytest.raises(ShapeError):
             model.unflatten_code(np.zeros(17))
-        with pytest.raises(ShapeError):
-            LatentCode(flat=np.zeros(17), layout=model.layout())
 
 
 class TestIdentityModel:
@@ -425,12 +423,12 @@ class TestModelForwardInverse:
 
     def test_encode_decode_single_example(self):
         model = make_random_model(tiny_config(), seed=32, perturb_coupling=0.3)
-        x = Rng(33).standard_normal((1, 4, 4))
-        code, lnp = model.encode(x)
-        assert code.flat.shape == (16,)
-        parts, logdet, _ = model.forward(x[None])
-        npt.assert_allclose(lnp, prior_logprob(code.flat) + logdet[0], rtol=1e-12)
-        npt.assert_allclose(model.decode(code), x, atol=1e-10)
+        x = Rng(33).standard_normal((1, 1, 4, 4))
+        z, lnp = encode_batch(model, x)
+        assert z.shape == (1, 16) and lnp.shape == (1,)
+        parts, logdet, _ = model.forward(x)
+        npt.assert_allclose(lnp, prior_logprob(z) + logdet, rtol=1e-12)
+        npt.assert_allclose(decode_batch(model, z), x, atol=1e-10)
 
     def test_wrong_input_shape_rejected(self):
         model = make_identity_model(tiny_config())

@@ -306,6 +306,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_every_truncation_rejected(self, tmp_path):
+        path, *_ = self._saved(tmp_path)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.fsck"
+        for n in range(len(raw)):
+            cut.unlink(missing_ok=True)  # truncating in place makes ext4 flush the file
+            cut.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(cut)
+
 
 # ---------------------------------------------------------------------------
 # training loop
@@ -365,6 +375,30 @@ class TestTrainLoop:
         assert strip_wall(ra.metrics_path) == strip_wall(rb.metrics_path)
         with open(ra.checkpoint_path, "rb") as f1, open(rb.checkpoint_path, "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_crash_and_resume_logs_each_step_once(self, tmp_path):
+        data = structured_data()
+        cfg = small_train_config(steps=200, checkpoint_every=100)
+        straight = train_loop(build_model(tiny_config(), cfg.seed), data, cfg, tmp_path / "a")
+
+        class Crash(Exception):
+            pass
+
+        def crash_after_step_150(message):
+            if message.startswith("step 150:"):
+                raise Crash
+
+        crashed = tmp_path / "b"
+        with pytest.raises(Crash):
+            train_loop(
+                build_model(tiny_config(), cfg.seed), data, cfg, crashed, log=crash_after_step_150
+            )
+        with open(crashed / "metrics.csv", "a", encoding="utf-8") as fh:
+            fh.write("151,0.5")  # a row torn by the crash
+        loaded = load_checkpoint(crashed / "checkpoint.fsck")
+        assert loaded.step == 100
+        resumed = train_loop(loaded.model, data, cfg, crashed, resume=loaded)
+        assert strip_wall(resumed.metrics_path) == strip_wall(straight.metrics_path)
 
     def test_divergence_aborts_with_last_checkpoint(self, tmp_path):
         cfg = small_train_config(steps=50, lr=1e6, clip_norm=1e12, checkpoint_every=1)
