@@ -471,23 +471,27 @@ def save_manifest(manifest: Manifest, out_dir: str | Path) -> None:
 def load_manifest(corpus_dir: str | Path) -> Manifest:
     corpus_dir = Path(corpus_dir)
     header = json.loads((corpus_dir / "corpus.json").read_text())
+    path = corpus_dir / "manifest.jsonl"
     entries = []
-    for line in (corpus_dir / "manifest.jsonl").read_text().splitlines():
-        row = json.loads(line)
-        start, end = 0, 1  # archive stores pixels; original bounds are not replayed
-        entries.append(ManifestEntry(
-            record=SegmentRecord(
-                utterance_id=row["utt"],
-                speaker_id=row["spk"],
-                gender=row["gender"],
-                vowel=row["vowel"],
-                start_sample=start,
-                end_sample=end,
-                noise_snr_db=row["noise_snr_db"],
-            ),
-            valid_frames=row["valid_frames"],
-            offset=row["offset"],
-        ))
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        try:
+            row = json.loads(line)
+            start, end = 0, 1  # archive stores pixels; original bounds are not replayed
+            entries.append(ManifestEntry(
+                record=SegmentRecord(
+                    utterance_id=row["utt"],
+                    speaker_id=row["spk"],
+                    gender=row["gender"],
+                    vowel=row["vowel"],
+                    start_sample=start,
+                    end_sample=end,
+                    noise_snr_db=row["noise_snr_db"],
+                ),
+                valid_frames=row["valid_frames"],
+                offset=row["offset"],
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}, line {number}: bad manifest row ({exc!r})") from exc
     return Manifest(
         entries=entries,
         stats=(header["stats"]["mean"], header["stats"]["std"]),
@@ -515,7 +519,10 @@ class CorpusReader:
 
     def pixels(self, index: int) -> np.ndarray:
         self._archive.seek(self.manifest.entries[index].offset)
-        return read_tensor_from(self._archive)
+        try:
+            return read_tensor_from(self._archive)
+        except ValueError as exc:
+            raise ValueError(f"{self._archive.name}, entry {index}: {exc}") from exc
 
     def load(self, indices=None) -> np.ndarray:
         """Stack of (N, 1, S, S) pixel tensors for the given indices."""

@@ -182,20 +182,25 @@ def mat_inverse(a: np.ndarray) -> np.ndarray:
 # convolution
 
 
-def _check_kernel(kernel: np.ndarray, bias: np.ndarray) -> None:
+def _check_operands(x: np.ndarray, kernel: np.ndarray) -> None:
+    """Kernel OxCxKHxKW with odd extents; batched input (B, C, H, W)."""
     if kernel.ndim != 4:
         raise ShapeError(f"kernel must be OxCxKHxKW, got {kernel.shape}")
     _, _, kh, kw = kernel.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"kernel extents must be odd, got {kh}x{kw}")
-    if bias.shape != (kernel.shape[0],):
-        raise ShapeError(f"bias shape {bias.shape} does not match {kernel.shape[0]} outputs")
+    if x.ndim != 4 or x.shape[1] != kernel.shape[1]:
+        raise ShapeError(f"input {x.shape} does not match kernel {kernel.shape}")
 
 
-def _im2col(x_padded: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(B, C, H+kh-1, W+kw-1) -> (B, C*kh*kw, H*W) patch matrix."""
-    win = np.lib.stride_tricks.sliding_window_view(x_padded, (kh, kw), axis=(2, 3))
-    b, c, h, w = win.shape[:4]
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(B, C, H, W) -> (B, C*kh*kw, H*W) patch matrix of the "same"-padded input."""
+    b, c, h, w = x.shape
+    # one zero-filled buffer and one slice copy, not np.pad, whose Python
+    # overhead is a visible share of a desk-size conv
+    xp = np.zeros((b, c, h + kh - 1, w + kw - 1))
+    xp[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h * w)
 
 
@@ -208,16 +213,15 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
-    _check_kernel(kernel, bias)
     single = x.ndim == 3
     if single:
         x = x[None]
-    if x.ndim != 4 or x.shape[1] != kernel.shape[1]:
-        raise ShapeError(f"input {x.shape} does not match kernel {kernel.shape}")
+    _check_operands(x, kernel)
+    if bias.shape != (kernel.shape[0],):
+        raise ShapeError(f"bias shape {bias.shape} does not match {kernel.shape[0]} outputs")
     o, c, kh, kw = kernel.shape
     bsz, _, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    cols = _im2col(xp, kh, kw)
+    cols = _im2col(x, kh, kw)
     y = (kernel.reshape(o, c * kh * kw) @ cols).reshape(bsz, o, h, w)
     y += bias[:, None, None]
     return y[0] if single else y
@@ -240,6 +244,7 @@ def conv2d_backward(
     if single:
         x = x[None]
         grad_out = grad_out[None]
+    _check_operands(x, kernel)
     o, c, kh, kw = kernel.shape
     if grad_out.shape != (x.shape[0], o, x.shape[2], x.shape[3]):
         raise ShapeError(
@@ -250,10 +255,11 @@ def conv2d_backward(
 
     grad_bias = grad_out.sum(axis=(0, 2, 3))
 
-    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    cols = _im2col(xp, kh, kw)  # (B, C*kh*kw, H*W)
+    cols = _im2col(x, kh, kw)  # (B, C*kh*kw, H*W)
     gmat = grad_out.reshape(bsz, o, h * w)
-    grad_kernel = np.einsum("boq,bkq->ok", gmat, cols).reshape(o, c, kh, kw)
+    # batched GEMM then a sum over the batch: einsum does not hand this
+    # contraction to BLAS
+    grad_kernel = (gmat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
 
     # For stride-1 "same" correlation with odd kernels the input gradient
     # is itself a "same" correlation with the channel-swapped, spatially

@@ -1,5 +1,7 @@
 import json
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +218,43 @@ class TestBuildCorpus:
         assert all(set(r) == expected for r in rows)
         offsets = [r["offset"] for r in rows]
         assert offsets == sorted(offsets) and len(set(offsets)) == len(offsets)
+
+
+class TestCorruptCorpus:
+    """A damaged corpus file raises ValueError naming the file and the place."""
+
+    @pytest.fixture
+    def corpus_copy(self, small_corpus, tmp_path):
+        out, _ = small_corpus
+        return Path(shutil.copytree(out, tmp_path / "corpus"))
+
+    def test_torn_last_manifest_line(self, corpus_copy):
+        path = corpus_copy / "manifest.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1] + [lines[-1][:20]]) + "\n")
+        with pytest.raises(ValueError, match=rf"manifest\.jsonl, line {len(lines)}\b"):
+            load_manifest(corpus_copy)
+
+    def test_manifest_row_missing_key(self, corpus_copy):
+        path = corpus_copy / "manifest.jsonl"
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[2])
+        del row["offset"]
+        lines[2] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"manifest\.jsonl, line 3\b.*offset"):
+            load_manifest(corpus_copy)
+
+    def test_bad_archive_record(self, corpus_copy):
+        path = corpus_copy / "corpus.fstn"
+        offset = load_manifest(corpus_copy).entries[3].offset
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + 4] = b"XXXX"
+        path.write_bytes(bytes(raw))
+        with CorpusReader(corpus_copy) as reader:
+            reader.pixels(2)
+            with pytest.raises(ValueError, match=r"corpus\.fstn, entry 3: bad FSTN magic"):
+                reader.pixels(3)
 
 
 class TestRealCorpusIngestion:

@@ -192,6 +192,32 @@ class TestConv2dBackward:
         gx, _, _ = conv2d_backward(g, x, np.ones((1, 1, 1, 1)))
         np.testing.assert_allclose(gx, g, atol=1e-15)
 
+    @staticmethod
+    def check_finite_differences(x, k, b, w, probes):
+        """conv2d_backward(w, x, k) against central differences of the
+        scalar objective sum(w * conv2d(x, k, b)) at about `probes`
+        entries of each of x, k and b."""
+
+        def objective():
+            return float(np.sum(w * conv2d(x, k, b)))
+
+        gx, gk, gb = conv2d_backward(w, x, k)
+        h = 1e-5
+        for arr, grad in ((x, gx), (k, gk), (b, gb)):
+            flat = arr.reshape(-1)
+            gflat = grad.reshape(-1)
+            for idx in range(0, flat.size, max(1, flat.size // probes)):
+                orig = flat[idx]
+                flat[idx] = orig + h
+                up = objective()
+                flat[idx] = orig - h
+                down = objective()
+                flat[idx] = orig
+                fd = (up - down) / (2 * h)
+                denom = max(abs(fd), abs(gflat[idx]), 1e-3)
+                assert abs(fd - gflat[idx]) / denom < 1e-6
+        return gx, gk, gb
+
     def test_finite_differences(self):
         rng = Rng(33)
         x = randn(rng, (2, 4, 4))
@@ -199,25 +225,38 @@ class TestConv2dBackward:
         b = randn(rng, (3,))
         # scalar objective: weighted sum of outputs with fixed weights
         w = randn(rng, (3, 4, 4))
+        self.check_finite_differences(x, k, b, w, probes=17)
 
-        def objective(xv, kv, bv):
-            return float(np.sum(w * conv2d(xv, kv, bv)))
+    def test_batched_non_square_kernel(self):
+        rng = Rng(34)
+        x = randn(rng, (3, 2, 5, 6))
+        k = randn(rng, (4, 2, 3, 5))
+        b = randn(rng, (4,))
+        w = randn(rng, (3, 4, 5, 6))
+        gx, gk, gb = self.check_finite_differences(x, k, b, w, probes=23)
 
-        gx, gk, gb = conv2d_backward(w, x, k)
-        h = 1e-5
-        for arr, grad in ((x, gx), (k, gk), (b, gb)):
-            flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            for idx in range(0, flat.size, max(1, flat.size // 17)):
-                orig = flat[idx]
-                flat[idx] = orig + h
-                up = objective(x, k, b)
-                flat[idx] = orig - h
-                down = objective(x, k, b)
-                flat[idx] = orig
-                fd = (up - down) / (2 * h)
-                denom = max(abs(fd), abs(gflat[idx]), 1e-3)
-                assert abs(fd - gflat[idx]) / denom < 1e-6
+        per_image = [conv2d_backward(w[i], x[i], k) for i in range(3)]
+        for i, (gx_i, _, _) in enumerate(per_image):
+            np.testing.assert_allclose(gx[i], gx_i, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(gk, sum(g for _, g, _ in per_image), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gb, sum(g for _, _, g in per_image), rtol=0, atol=1e-12)
+
+        # reference contraction over batch and pixels, kept here as an einsum
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (2, 2)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (3, 5), axis=(2, 3))
+        np.testing.assert_allclose(gk, np.einsum("bohw,bchwuv->ocuv", w, win), rtol=0, atol=1e-12)
+
+    def test_channel_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            conv2d_backward(np.zeros((1, 4, 4)), np.zeros((3, 4, 4)), np.zeros((1, 2, 3, 3)))
+
+    def test_even_kernel_rejected(self):
+        with pytest.raises(ShapeError):
+            conv2d_backward(np.zeros((1, 4, 4)), np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)))
+
+    def test_rank_two_input_rejected(self):
+        with pytest.raises(ShapeError):
+            conv2d_backward(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((1, 1, 3, 3)))
 
 
 # ---------------------------------------------------------------------------
