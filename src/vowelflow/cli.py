@@ -731,7 +731,6 @@ def cmd_grad_audit(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     c, h, w = flow_config.input_shape
     batch = rng.spawn(1).standard_normal((args.batch, c, h, w))
     model.forward(batch, init_actnorm=True)
-    model.mark_actnorms_initialized()
 
     report = grad_audit(
         model,

@@ -470,7 +470,14 @@ def save_manifest(manifest: Manifest, out_dir: str | Path) -> None:
 
 def load_manifest(corpus_dir: str | Path) -> Manifest:
     corpus_dir = Path(corpus_dir)
-    header = json.loads((corpus_dir / "corpus.json").read_text())
+    header_path = corpus_dir / "corpus.json"
+    try:
+        header = json.loads(header_path.read_text())
+        stats = (header["stats"]["mean"], header["stats"]["std"])
+        config = header["config"]
+        train_utterances = list(header["train_utterances"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{header_path}: bad corpus header ({exc!r})") from exc
     path = corpus_dir / "manifest.jsonl"
     entries = []
     for number, line in enumerate(path.read_text().splitlines(), start=1):
@@ -492,12 +499,11 @@ def load_manifest(corpus_dir: str | Path) -> Manifest:
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}, line {number}: bad manifest row ({exc!r})") from exc
-    return Manifest(
-        entries=entries,
-        stats=(header["stats"]["mean"], header["stats"]["std"]),
-        config=header["config"],
-        train_utterances=list(header["train_utterances"]),
-    )
+    try:
+        return Manifest(entries, stats, config, train_utterances)
+    except ValueError as exc:
+        # the offsets come from manifest.jsonl, the stats from corpus.json
+        raise ValueError(f"{path} with {header_path.name}: {exc}") from exc
 
 
 class CorpusReader:

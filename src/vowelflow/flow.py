@@ -6,6 +6,17 @@ log |det dz/dx|; inverse reconstructs x exactly.  Every layer also
 implements a hand-derived reverse-mode `backward` so the model can be
 trained by exact maximum likelihood without an autodiff framework.
 
+Every layer (`ActNorm`, `InvConv`, `AffineCoupling`) keeps one contract:
+
+* ``forward(x) -> (y, logdet, cache)``, with ``logdet`` per example and
+  ``cache`` whatever ``backward`` needs;
+* ``inverse(y) -> x``;
+* ``backward(cache, grad_y, grad_logdet) -> (grad_x, grads)``, with
+  ``grads`` keyed like ``params()``.
+
+`FlowModel` holds each level's layers as one flat list of
+``(name, layer)`` pairs, so a layer's name is made in one place.
+
 Shape convention: tensors are batched, (B, C, H, W).
 """
 
@@ -113,14 +124,14 @@ class ActNorm:
         self.bias = -mean / std
         self.initialized = True
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if not self.initialized:
             raise UninitializedActNorm("actnorm used before data-dependent init")
         scale = np.exp(self.log_scale)[:, None, None]
         y = scale * x + self.bias[:, None, None]
         h, w = x.shape[2], x.shape[3]
         logdet = np.full(x.shape[0], h * w * float(self.log_scale.sum()))
-        return y, logdet
+        return y, logdet, x
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         if not self.initialized:
@@ -156,11 +167,11 @@ class InvConv:
             q, r = np.linalg.qr(a)
             self.weight = q * np.sign(np.diag(r))
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         y = np.einsum("oc,bchw->bohw", self.weight, x)
         h, w = x.shape[2], x.shape[3]
         logdet = np.full(x.shape[0], h * w * lu_decompose(self.weight).log_abs_det)
-        return y, logdet
+        return y, logdet, x
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         return np.einsum("oc,bohw->bchw", mat_inverse(self.weight).T, y)
@@ -214,9 +225,7 @@ class AffineCoupling:
         out = conv2d(a2, self.w3, self.b3)
         return h1, a1, h2, a2, out
 
-    def forward(
-        self, x: np.ndarray, want_cache: bool = False
-    ) -> tuple[np.ndarray, np.ndarray, dict | None]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         xa, xb = x[:, :self.half], x[:, self.half:]
         h1, a1, h2, a2, out = self._net(xa)
         s_raw, t = out[:, :self.half], out[:, self.half:]
@@ -224,10 +233,8 @@ class AffineCoupling:
         scale = np.exp(2.0 * th)
         y = np.concatenate([xa, xb * scale + t], axis=1)
         logdet = (2.0 * th).sum(axis=(1, 2, 3))
-        cache = None
-        if want_cache:
-            cache = {"xa": xa, "xb": xb, "h1": h1, "a1": a1, "h2": h2, "a2": a2,
-                     "th": th, "scale": scale}
+        cache = {"xa": xa, "xb": xb, "h1": h1, "a1": a1, "h2": h2, "a2": a2,
+                 "th": th, "scale": scale}
         return y, logdet, cache
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
@@ -290,48 +297,20 @@ def unsqueeze(y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# flow step and model
+# model
 
 
-class FlowStep:
-    """actnorm -> invertible 1x1 conv -> affine coupling."""
-
-    def __init__(self, channels: int, width: int, rng: Rng | None = None):
-        self.actnorm = ActNorm(channels)
-        self.invconv = InvConv(channels, rng)
-        self.coupling = AffineCoupling(channels, width, rng)
-
-    def forward(self, x, want_cache=False, init_actnorm=False):
-        if init_actnorm and not self.actnorm.initialized:
-            self.actnorm.data_init(x)
-        y1, ld1 = self.actnorm.forward(x)
-        y2, ld2 = self.invconv.forward(y1)
-        y3, ld3, ccache = self.coupling.forward(y2, want_cache=want_cache)
-        cache = {"x": x, "y1": y1, "coupling": ccache} if want_cache else None
-        return y3, ld1 + ld2 + ld3, cache
-
-    def inverse(self, y):
-        y2 = self.coupling.inverse(y)
-        y1 = self.invconv.inverse(y2)
-        return self.actnorm.inverse(y1)
-
-    def backward(self, cache, grad_y, grad_logdet):
-        grad_y2, cgrads = self.coupling.backward(cache["coupling"], grad_y, grad_logdet)
-        grad_y1, igrads = self.invconv.backward(cache["y1"], grad_y2, grad_logdet)
-        grad_x, agrads = self.actnorm.backward(cache["x"], grad_y1, grad_logdet)
-        grads = {f"coupling.{k}": v for k, v in cgrads.items()}
-        grads.update({f"invconv.{k}": v for k, v in igrads.items()})
-        grads.update({f"actnorm.{k}": v for k, v in agrads.items()})
-        return grad_x, grads
+Layer = ActNorm | InvConv | AffineCoupling
 
 
 class FlowModel:
-    """Multi-scale stack: per level squeeze, K flow steps, then split half
-    the channels out to the code (the last level emits everything)."""
+    """Multi-scale stack: per level squeeze, K steps of actnorm -> invertible
+    1x1 conv -> affine coupling, then split half the channels out to the
+    code (the last level emits everything)."""
 
     def __init__(self, config: FlowConfig, rng: Rng | None = None):
         self.config = config
-        self.steps: list[list[FlowStep]] = []
+        self.layers: list[list[tuple[str, Layer]]] = []
         c = config.input_shape[0]
         size = config.input_shape[1]
         parts = []
@@ -339,9 +318,15 @@ class FlowModel:
         for level in range(config.levels):
             c *= 4
             size //= 2
-            self.steps.append(
-                [FlowStep(c, config.coupling_width, rng) for _ in range(config.depth)]
-            )
+            named = []
+            for step in range(config.depth):
+                prefix = f"level{level}.step{step}"
+                named += [
+                    (f"{prefix}.actnorm", ActNorm(c)),
+                    (f"{prefix}.invconv", InvConv(c, rng)),
+                    (f"{prefix}.coupling", AffineCoupling(c, config.coupling_width, rng)),
+                ]
+            self.layers.append(named)
             out_c = c if level == config.levels - 1 else c // 2
             parts.append(CodePart(level=level, shape=(out_c, size, size), offset=offset))
             offset += out_c * size * size
@@ -351,19 +336,16 @@ class FlowModel:
 
     # -- parameter plumbing ------------------------------------------------
 
+    def _named_layers(self) -> list[tuple[str, Layer]]:
+        return [pair for level in self.layers for pair in level]
+
     def params(self) -> dict[str, np.ndarray]:
         """Live parameter arrays keyed by a stable hierarchical name."""
-        out: dict[str, np.ndarray] = {}
-        for li, level in enumerate(self.steps):
-            for si, step in enumerate(level):
-                prefix = f"level{li}.step{si}"
-                for k, v in step.actnorm.params().items():
-                    out[f"{prefix}.actnorm.{k}"] = v
-                for k, v in step.invconv.params().items():
-                    out[f"{prefix}.invconv.{k}"] = v
-                for k, v in step.coupling.params().items():
-                    out[f"{prefix}.coupling.{k}"] = v
-        return out
+        return {
+            f"{name}.{k}": v
+            for name, layer in self._named_layers()
+            for k, v in layer.params().items()
+        }
 
     def set_params(self, values: dict[str, np.ndarray]) -> None:
         live = self.params()
@@ -376,15 +358,17 @@ class FlowModel:
                 raise ShapeError(f"{name}: shape {arr.shape} != {target.shape}")
             target[...] = arr
 
+    def _actnorms(self) -> list[ActNorm]:
+        return [layer for _, layer in self._named_layers() if isinstance(layer, ActNorm)]
+
     @property
     def actnorms_initialized(self) -> bool:
-        return all(s.actnorm.initialized for lvl in self.steps for s in lvl)
+        return all(layer.initialized for layer in self._actnorms())
 
     def mark_actnorms_initialized(self) -> None:
         """Treat current actnorm params as final (checkpoint load, tests)."""
-        for lvl in self.steps:
-            for s in lvl:
-                s.actnorm.initialized = True
+        for layer in self._actnorms():
+            layer.initialized = True
 
     def layout(self) -> tuple[CodePart, ...]:
         return self._layout
@@ -402,25 +386,29 @@ class FlowModel:
     def forward(
         self, x: np.ndarray, want_cache: bool = False, init_actnorm: bool = False
     ) -> tuple[list[np.ndarray], np.ndarray, list | None]:
-        """x -> (code parts, per-example logdet, optional backward cache)."""
+        """x -> (code parts, per-example logdet, optional backward cache).
+
+        The cache holds, per level, each layer's cache in layer order.
+        """
         h = self._check_input(x)
         logdet = np.zeros(h.shape[0])
         parts: list[np.ndarray] = []
         cache: list[list] = []
         layer_index = 0
-        for li, level in enumerate(self.steps):
+        for li, level in enumerate(self.layers):
             h = squeeze(h)
             level_cache = []
-            for step in level:
-                h, ld, scache = step.forward(
-                    h, want_cache=want_cache, init_actnorm=init_actnorm
-                )
+            for name, layer in level:
+                if init_actnorm and isinstance(layer, ActNorm) and not layer.initialized:
+                    layer.data_init(h)
+                h, ld, layer_cache = layer.forward(h)
                 if not np.all(np.isfinite(h)):
-                    raise NonFiniteError(layer_index, f"level{li}.step{len(level_cache)}")
+                    raise NonFiniteError(layer_index, name)
                 logdet += ld
-                level_cache.append(scache)
+                if want_cache:
+                    level_cache.append(layer_cache)
                 layer_index += 1
-            if li == len(self.steps) - 1:
+            if li == len(self.layers) - 1:
                 parts.append(h)
             else:
                 parts.append(h[:, : h.shape[1] // 2])
@@ -435,10 +423,10 @@ class FlowModel:
         if got != expected:
             raise ShapeError(f"part shapes {got} do not match layout {expected}")
         h = None
-        for li in range(len(self.steps) - 1, -1, -1):
+        for li in range(len(self.layers) - 1, -1, -1):
             h = parts[li] if h is None else np.concatenate([parts[li], h], axis=1)
-            for step in reversed(self.steps[li]):
-                h = step.inverse(h)
+            for _, layer in reversed(self.layers[li]):
+                h = layer.inverse(h)
             h = unsqueeze(h)
         return h
 
@@ -452,17 +440,17 @@ class FlowModel:
         """
         grads: dict[str, np.ndarray] = {}
         grad_h = None
-        for li in range(len(self.steps) - 1, -1, -1):
+        for li in range(len(self.layers) - 1, -1, -1):
             if grad_h is None:
                 grad_h = grad_parts[li]
             else:
                 grad_h = np.concatenate([grad_parts[li], grad_h], axis=1)
-            for si in range(len(self.steps[li]) - 1, -1, -1):
-                grad_h, step_grads = self.steps[li][si].backward(
-                    cache[li][si], grad_h, grad_logdet
-                )
-                for k, v in step_grads.items():
-                    grads[f"level{li}.step{si}.{k}"] = v
+            for (name, layer), layer_cache in zip(
+                reversed(self.layers[li]), reversed(cache[li])
+            ):
+                grad_h, layer_grads = layer.backward(layer_cache, grad_h, grad_logdet)
+                for k, v in layer_grads.items():
+                    grads[f"{name}.{k}"] = v
             grad_h = unsqueeze(grad_h)
         return grads
 

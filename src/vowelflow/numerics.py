@@ -119,30 +119,17 @@ class LuFactors:
     """Partial-pivoting LU factorization P A = L U.
 
     `perm` maps output rows to input rows: (P A)[i] == A[perm[i]].
-    `lower` is unit lower triangular, `upper` upper triangular and
-    `sign` the parity of the row permutation.
+    `lower` is unit lower triangular and `upper` upper triangular.
     """
 
     perm: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    sign: int
 
     @property
     def log_abs_det(self) -> float:
         """ln |det A| = sum of ln |U_ii|."""
         return float(np.sum(np.log(np.abs(np.diag(self.upper)))))
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b for one or many right-hand sides."""
-        b = np.asarray(b, dtype=np.float64)
-        n = self.upper.shape[0]
-        if b.shape[0] != n:
-            raise ShapeError(f"rhs has {b.shape[0]} rows, expected {n}")
-        y = scipy.linalg.solve_triangular(
-            self.lower, b[self.perm], lower=True, unit_diagonal=True, check_finite=False
-        )
-        return scipy.linalg.solve_triangular(self.upper, y, check_finite=False)
 
 
 def lu_decompose(a: np.ndarray) -> LuFactors:
@@ -162,17 +149,17 @@ def lu_decompose(a: np.ndarray) -> LuFactors:
         k = small[0]
         raise SingularMatrixError(f"pivot {upper[k, k]:.3e} below {PIVOT_TOL} at column {k}")
     perm = np.argsort(rows)  # a == lower[rows] @ upper
-    inversions = np.count_nonzero(np.triu(perm[:, None] > perm[None, :], 1))
-    return LuFactors(perm=perm, lower=lower, upper=upper, sign=-1 if inversions % 2 else 1)
+    return LuFactors(perm=perm, lower=lower, upper=upper)
 
 
 def mat_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a nonsingular square matrix (LAPACK getrf + getri).
 
-    Not `lu_decompose(a).solve(I)`: scipy's multi-column triangular solve
-    wakes the threads of scipy's own OpenBLAS, which then compete with
-    numpy's BLAS threads (desk-size training ran about 1.6x slower on a
-    2-core VM with default thread counts).
+    Not two triangular solves against the identity from the LU factors:
+    scipy's multi-column triangular solve wakes the threads of scipy's own
+    OpenBLAS, which then compete with numpy's BLAS threads (desk-size
+    training ran about 1.6x slower on a 2-core VM with default thread
+    counts).
     """
     lu_decompose(a)  # ShapeError or SingularMatrixError before inverting
     return scipy.linalg.inv(a, check_finite=False)

@@ -126,6 +126,15 @@ class TestExitCodes:
         assert run(tmp_path / "empty", "train") == EXIT_RUNTIME
         assert "error" in capsys.readouterr().err.lower()
 
+    def test_torn_corpus_header_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(out, "synth-data") == EXIT_OK
+        header = out / "corpus.json"
+        header.write_text(header.read_text()[:100])
+        capsys.readouterr()
+        assert run(out, "encode") == EXIT_RUNTIME
+        assert "corpus.json" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path):
         out = tmp_path / "out"
         assert run(out, "synth-data") == EXIT_OK

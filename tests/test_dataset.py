@@ -245,6 +245,30 @@ class TestCorruptCorpus:
         with pytest.raises(ValueError, match=r"manifest\.jsonl, line 3\b.*offset"):
             load_manifest(corpus_copy)
 
+    def test_torn_header(self, corpus_copy):
+        path = corpus_copy / "corpus.json"
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(ValueError, match=r"corpus\.json: bad corpus header"):
+            load_manifest(corpus_copy)
+
+    @pytest.mark.parametrize("key", ["stats", "config", "train_utterances"])
+    def test_header_missing_key(self, corpus_copy, key):
+        path = corpus_copy / "corpus.json"
+        header = json.loads(path.read_text())
+        del header[key]
+        path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=rf"corpus\.json: bad corpus header.*{key}"):
+            load_manifest(corpus_copy)
+
+    def test_nonincreasing_offsets_name_manifest(self, corpus_copy):
+        path = corpus_copy / "manifest.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[1]["offset"] = rows[0]["offset"]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(ValueError, match=r"manifest\.jsonl.*strictly increasing"):
+            load_manifest(corpus_copy)
+
     def test_bad_archive_record(self, corpus_copy):
         path = corpus_copy / "corpus.fstn"
         offset = load_manifest(corpus_copy).entries[3].offset

@@ -89,7 +89,7 @@ class TestActNorm:
         layer.bias = np.array([1.0, -1.0])
         layer.initialized = True
         x = Rng(0).standard_normal((1, 2, 3, 3))
-        y, logdet = layer.forward(x)
+        y, logdet, _ = layer.forward(x)
         npt.assert_allclose(y[0, 0], 2.0 * x[0, 0] + 1.0, rtol=1e-12)
         npt.assert_allclose(y[0, 1], 3.0 * x[0, 1] - 1.0, rtol=1e-12)
         npt.assert_allclose(logdet, 9.0 * math.log(6.0), rtol=1e-12)
@@ -112,7 +112,7 @@ class TestActNorm:
         layer = ActNorm(3)
         x = Rng(2).standard_normal((8, 3, 4, 4)) * 2.5 + 1.0
         layer.data_init(x)
-        y, _ = layer.forward(x)
+        y, _, _ = layer.forward(x)
         npt.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
         npt.assert_allclose(y.var(axis=(0, 2, 3)), 1.0, rtol=1e-8)
 
@@ -139,7 +139,7 @@ class TestActNorm:
         v = rng.standard_normal(2)
 
         def loss():
-            y, ld = layer.forward(x)
+            y, ld, _ = layer.forward(x)
             return float((u * y).sum() + (v * ld).sum())
 
         grad_x, grads = layer.backward(x, u, v)
@@ -163,7 +163,7 @@ class TestInvConv:
         layer = InvConv(2)
         layer.weight = np.diag([2.0, 3.0])
         x = Rng(6).standard_normal((1, 2, 2, 2))
-        y, logdet = layer.forward(x)
+        y, logdet, _ = layer.forward(x)
         npt.assert_allclose(y[:, 0], 2.0 * x[:, 0], rtol=1e-12)
         npt.assert_allclose(y[:, 1], 3.0 * x[:, 1], rtol=1e-12)
         npt.assert_allclose(logdet, 4.0 * math.log(6.0), rtol=1e-12)
@@ -202,7 +202,7 @@ class TestInvConv:
         v = rng.standard_normal(2)
 
         def loss():
-            y, ld = layer.forward(x)
+            y, ld, _ = layer.forward(x)
             return float((u * y).sum() + (v * ld).sum())
 
         grad_x, grads = layer.backward(x, u, v)
@@ -239,7 +239,7 @@ class TestAffineCoupling:
     def test_scale_bounded(self):
         layer = self._active_layer(magnitude=50.0)
         x = Rng(18).standard_normal((1, 2, 3, 3)) * 10.0
-        _, logdet, cache = layer.forward(x, want_cache=True)
+        _, logdet, cache = layer.forward(x)
         assert np.all(cache["scale"] >= math.exp(-2.0))
         assert np.all(cache["scale"] <= math.exp(2.0))
         assert abs(logdet[0]) <= 2.0 * 9.0 + 1e-12
@@ -276,7 +276,7 @@ class TestAffineCoupling:
             y, ld, _ = layer.forward(x)
             return float((u * y).sum() + (v * ld).sum())
 
-        _, _, cache = layer.forward(x, want_cache=True)
+        _, _, cache = layer.forward(x)
         grad_x, grads = layer.backward(cache, u, v)
         check_grads_fd(loss, layer.params(), grads, tol=2e-6)
         for idx in np.ndindex(x.shape):
@@ -438,12 +438,15 @@ class TestModelForwardInverse:
             model.inverse([np.zeros((1, 2, 3, 3))])
 
     def test_non_finite_layer_reported(self):
-        model = make_identity_model(tiny_config())
-        model.params()["level0.step0.actnorm.log_scale"][...] = 1e4
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as exc:
-            model.forward(np.ones((1, 1, 4, 4)))
-        assert exc.value.layer_index == 0
-        assert "level0.step0" in exc.value.layer_name
+        for param, value, index, name in (
+            ("actnorm.log_scale", 1e4, 0, "level0.step0.actnorm"),
+            ("coupling.b3", np.inf, 2, "level0.step0.coupling"),
+        ):
+            model = make_identity_model(tiny_config())
+            model.params()[f"level0.step0.{param}"][...] = value
+            with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as exc:
+                model.forward(np.ones((1, 1, 4, 4)))
+            assert (exc.value.layer_index, exc.value.layer_name) == (index, name)
 
 
 class TestModelBackward:
@@ -462,6 +465,21 @@ class TestModelBackward:
         grads = model.backward(cache, grad_parts, grad_logdet)
         assert set(grads) == set(model.params())
         check_grads_fd(loss, model.params(), grads, tol=2e-6)
+
+    def test_param_and_grad_order_pinned(self):
+        # checkpoints list parameters in params() order, and global_norm sums
+        # the gradients in backward's order
+        cfg = FlowConfig(levels=2, depth=2, coupling_width=4, input_shape=(1, 8, 8))
+        model = make_identity_model(cfg)
+        coupling = [f"coupling.{k}" for k in ("w1", "b1", "w2", "b2", "w3", "b3")]
+        steps = [f"level{li}.step{si}" for li in range(2) for si in range(2)]
+        layer_params = ["actnorm.log_scale", "actnorm.bias", "invconv.weight", *coupling]
+        assert list(model.params()) == [f"{s}.{p}" for s in steps for p in layer_params]
+
+        parts, _, cache = model.forward(np.ones((1, 1, 8, 8)), want_cache=True)
+        grads = model.backward(cache, parts, np.ones(1))
+        layer_grads = [*coupling, "invconv.weight", "actnorm.bias", "actnorm.log_scale"]
+        assert list(grads) == [f"{s}.{p}" for s in reversed(steps) for p in layer_grads]
 
     def test_actnorm_init_marks_model(self):
         model = FlowModel(tiny_config(), rng=Rng(36))

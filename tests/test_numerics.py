@@ -73,8 +73,6 @@ class TestLu:
         rng = Rng(12)
         a = randn(rng, (3, 3))
         lu = lu_decompose(a)
-        det = lu.sign * float(np.prod(np.diag(lu.upper)))
-        assert det == pytest.approx(det_cofactor(a), rel=1e-10)
         assert math.exp(lu.log_abs_det) == pytest.approx(abs(det_cofactor(a)), rel=1e-10)
 
     def test_round_trip_property(self):
@@ -87,13 +85,6 @@ class TestLu:
             assert resid <= 1e-10 * norm
             assert np.allclose(np.tril(lu.lower, -1) + np.eye(n), lu.lower)
             assert np.allclose(np.triu(lu.upper), lu.upper)
-
-    def test_solve(self):
-        rng = Rng(4)
-        a = randn(rng, (6, 6)) + 3 * np.eye(6)
-        b = randn(rng, (6,))
-        x = lu_decompose(a).solve(b)
-        np.testing.assert_allclose(a @ x, b, atol=1e-10)
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):

@@ -1,0 +1,59 @@
+"""The benchmark's span tracer (bench/spans.py) against the package.
+
+`Tracer.install()` looks up every function and method it wraps by name, so
+a rename or deletion in the package breaks `bench/run.py --trace 1`; these
+tests fail first.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import make_random_model
+from vowelflow.flow import FlowConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import spans  # noqa: E402
+
+
+@pytest.fixture
+def tracer():
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _, _ in spans._layers()]
+    tracer = spans.Tracer("test")
+    tracer.install()
+    try:
+        yield tracer
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_install_wraps_every_layer(tracer):
+    for owner, attr, _, _ in spans._layers():
+        assert hasattr(owner.__dict__[attr], "__wrapped__"), f"{owner.__name__}.{attr}"
+    with pytest.raises(RuntimeError):
+        tracer.install()
+
+
+def test_model_spans_recorded(tracer):
+    cfg = FlowConfig(levels=2, depth=1, coupling_width=4, input_shape=(1, 8, 8))
+    model = make_random_model(cfg, seed=3, perturb_coupling=0.3)
+    x = np.random.default_rng(4).standard_normal((2, 1, 8, 8))
+    tracer.open_stage("step")
+    parts, _, cache = model.forward(x, want_cache=True)
+    model.backward(cache, [-p for p in parts], np.ones(2))
+    model.inverse(model.unflatten_code(model.flatten_parts(parts)))
+    tracer.close_stage(wall=1.0)
+
+    summary = tracer.summary()
+    calls = summary["calls"]
+    for layer in ("actnorm", "invconv", "coupling"):
+        for kind in ("fwd", "inv", "bwd"):
+            assert calls[f"flow.{layer}.{kind}"] == cfg.levels * cfg.depth
+    assert calls["flow.model"] == 3
+    assert summary["counts"]["flow.model.cache_bytes"] > 0
+    assert summary["counts"]["numerics.conv2d.gflop"] > 0
+    assert not summary["errors"]

@@ -122,7 +122,7 @@ class TestNll:
         layer.initialized = True
         xs = np.linspace(-30.0, 30.0, 20001)
         batch = xs.reshape(-1, 1, 1, 1)
-        y, logdet = layer.forward(batch)
+        y, logdet, _ = layer.forward(batch)
         lnp = prior_logprob(y.reshape(-1, 1)) + logdet
         total = np.trapezoid(np.exp(lnp), xs)
         npt.assert_allclose(total, 1.0, rtol=1e-6)
