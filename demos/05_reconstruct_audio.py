@@ -11,8 +11,6 @@ Run 01_train_flow.py first.
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from vowelflow import (
     CorpusReader,
     encode_batch,
@@ -24,29 +22,24 @@ from vowelflow import (
     istft_phase_borrow,
     write_wav,
 )
-from vowelflow.dataset import FULL_FRAMES, FREQ_ZERO_BANDS
-from vowelflow.signal import denormalize
+from vowelflow.dataset import STFT, image_to_magnitude
 
 out = Path(__file__).parent / "out"
 if not (out / "checkpoint.fsck").exists():
     sys.exit("run 01_train_flow.py first")
 
 manifest = load_manifest(out)
-stft_cfg = manifest.config["stft"]
 utts = {e.record.utterance_id: i for i, e in enumerate(manifest.entries)}
 
 
 def to_waveform(image, phase_utt, name):
     """Upsample a pooled image, undo normalization, and overlap-add."""
-    factor = FULL_FRAMES // image.shape[0]
-    big = np.repeat(np.repeat(image, factor, axis=0), factor, axis=1)
-    mag = denormalize(big, manifest.stats)[:, : FULL_FRAMES - FREQ_ZERO_BANDS]
+    mag = image_to_magnitude(image, manifest.stats)
     with CorpusReader(out) as reader:
         wave = read_wav(reader.wav_path(utts[phase_utt]))
-    phase = stft(wave, stft_cfg["window_len"], stft_cfg["hop"], stft_cfg["fft_size"])
+    phase = stft(wave, STFT.window_len, STFT.hop, STFT.fft_size)
     frames = phase.frames.shape[0]
-    audio = istft_phase_borrow(mag[:frames], phase,
-                               stft_cfg["window_len"], stft_cfg["hop"],
+    audio = istft_phase_borrow(mag[:frames], phase, STFT.window_len, STFT.hop,
                                sample_rate=wave.sample_rate)
     write_wav(out / name, audio)
     print(f"wrote {name}: {len(audio.samples)} samples "

@@ -10,7 +10,8 @@ Configuration is a four-section tree (data, synth, flow, train) where every
 key has a default.  A JSON file given with --config overrides the defaults,
 and dotted flags such as `--train.lr 3e-3` override the file.  Unknown
 sections or keys are rejected before any work starts.  Every artifact embeds
-the merged config so a run can be reproduced from the artifact alone.
+the merged config so a run can be reproduced from the artifact alone.  The
+spectrogram front end (`dataset.STFT`, 16 kHz audio) is fixed and has no keys.
 
 Exit codes: 0 on success, 1 on a usage error (bad flags, malformed or
 unknown config keys), 2 on a runtime error (missing files, divergence,
@@ -27,13 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
+    FULL_FRAMES,
+    STFT,
     CorpusReader,
     DatasetConfig,
     SyntheticSpec,
     build_corpus,
+    image_to_magnitude,
     load_manifest,
-    FULL_FRAMES,
-    FREQ_ZERO_BANDS,
 )
 from .flow import FlowConfig
 from .latent import (
@@ -50,9 +52,7 @@ from .latent import (
     write_image_strip,
 )
 from .numerics import Rng, read_tensor, write_tensor
-from .signal import (
-    DEFAULT_SAMPLE_RATE, StftConfig, denormalize, istft_phase_borrow, read_wav, stft, write_wav,
-)
+from .signal import istft_phase_borrow, read_wav, stft, write_wav
 from .train import TrainConfig, build_model, grad_audit, load_checkpoint, train_loop
 
 EXIT_OK = 0
@@ -125,19 +125,10 @@ def _section(cls, *omit: str) -> dict:
 
 # Section -> key -> (default, coercion), derived from the config dataclasses.
 # This table is the whole config surface: dotted flags are generated from it
-# and unknown keys are rejected against it.  The data section gives the STFT
-# in milliseconds at a sample rate (stft_config() converts it); the vowel
-# set, the input shape and the seed are set elsewhere.
-_STFT = StftConfig()
-_STFT_KEYS = ("sample_rate", "window_ms", "hop_ms", "fft_size")
+# and unknown keys are rejected against it.  The vowel set, the input shape
+# and the seed are set elsewhere.
 _SCHEMA = {
-    "data": {
-        "sample_rate": (DEFAULT_SAMPLE_RATE, _as_int),
-        "window_ms": (1000.0 * _STFT.window_len / DEFAULT_SAMPLE_RATE, _as_float),
-        "hop_ms": (1000.0 * _STFT.hop / DEFAULT_SAMPLE_RATE, _as_float),
-        "fft_size": (_STFT.fft_size, _as_int),
-        **_section(DatasetConfig, "stft"),
-    },
+    "data": _section(DatasetConfig),
     "synth": _section(SyntheticSpec, "vowels"),
     "flow": _section(FlowConfig, "input_shape"),
     "train": _section(TrainConfig, "seed"),
@@ -160,16 +151,8 @@ class RunConfig:
         doc.update(self.sections)
         return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
 
-    def stft_config(self) -> StftConfig:
-        d = self.sections["data"]
-        window = round(d["sample_rate"] * d["window_ms"] / 1000.0)
-        hop = round(d["sample_rate"] * d["hop_ms"] / 1000.0)
-        return StftConfig(window_len=window, hop=hop, fft_size=d["fft_size"])
-
     def dataset_config(self) -> DatasetConfig:
-        d = self.sections["data"]
-        fields = {k: v for k, v in d.items() if k not in _STFT_KEYS}
-        return DatasetConfig(**fields, stft=self.stft_config())
+        return DatasetConfig(**self.sections["data"])
 
     def synthetic_spec(self) -> SyntheticSpec:
         return SyntheticSpec(**self.sections["synth"])
@@ -659,7 +642,6 @@ def cmd_reconstruct(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     corpus = _corpus_dir(args, out)
     manifest = load_manifest(corpus)
     index = _find_segment(manifest, args.utt, noisy=args.noisy)
-    entry = manifest.entries[index]
 
     with CorpusReader(corpus) as reader:
         wav_path = reader.wav_path(index)
@@ -681,32 +663,17 @@ def cmd_reconstruct(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     if image.ndim == 3:
         image = image[0]
 
-    size = image.shape[0]
-    if image.shape != (size, size) or FULL_FRAMES % size != 0:
-        raise ValueError(f"image shape {image.shape} does not map to a spectrogram")
-    factor = FULL_FRAMES // size
-    big = np.repeat(np.repeat(image, factor, axis=0), factor, axis=1)
-    mag = denormalize(big, manifest.stats)[:, : FULL_FRAMES - FREQ_ZERO_BANDS]
+    mag = image_to_magnitude(image, manifest.stats)
 
-    stft_echo = manifest.config["stft"]
     waveform = read_wav(wav_path)
-    phase = stft(
-        waveform,
-        window_len=stft_echo["window_len"],
-        hop=stft_echo["hop"],
-        fft_size=stft_echo["fft_size"],
-    )
+    phase = stft(waveform, STFT.window_len, STFT.hop, STFT.fft_size)
     frames = phase.frames.shape[0]
     if frames > FULL_FRAMES:
         raise ValueError(
             f"phase source has {frames} frames; expected at most {FULL_FRAMES}"
         )
     audio = istft_phase_borrow(
-        mag[:frames],
-        phase,
-        window_len=stft_echo["window_len"],
-        hop=stft_echo["hop"],
-        sample_rate=waveform.sample_rate,
+        mag[:frames], phase, STFT.window_len, STFT.hop, sample_rate=waveform.sample_rate
     )
     suffix = "_noisy" if args.noisy else ""
     target = out / f"recon_{args.utt}{suffix}.wav"

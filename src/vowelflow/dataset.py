@@ -16,19 +16,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .numerics import Rng, read_tensor_from, write_tensor_to
 from .signal import (
+    DEFAULT_SAMPLE_RATE,
     FORMANTS,
     MAG_FLOOR,
     StftConfig,
     VOWELS,
     Waveform,
     add_white_noise,
+    denormalize,
     log_normalize,
     read_wav,
     stft,
@@ -36,8 +38,12 @@ from .signal import (
     write_wav,
 )
 
-FULL_FRAMES = 288  # time frames after padding, and frequency bands after appending zeros
-FREQ_ZERO_BANDS = 31  # 257 real bins + 31 zero bands = 288
+# The fixed spectrogram front end (16 kHz audio) and the image geometry it
+# implies: FULL_FRAMES time frames after padding, and as many frequency bands
+# after appending FREQ_ZERO_BANDS zero bands to the one-sided bins.
+STFT = StftConfig()
+FULL_FRAMES = 288
+FREQ_ZERO_BANDS = FULL_FRAMES - (STFT.fft_size // 2 + 1)
 
 GENDERS = ("M", "F", "unknown")
 
@@ -88,7 +94,6 @@ class Spectrogram:
 @dataclass
 class DatasetConfig:
     image_size: int = 32  # desk scale; 288 for full runs
-    stft: StftConfig = field(default_factory=StftConfig)
     noise_snr_db: float | None = None  # noisy twin per record when set
     train_fraction: float = 0.9
     write_wavs: bool = False
@@ -230,27 +235,41 @@ def _pool(image: np.ndarray, size: int) -> np.ndarray:
 def _magnitude_to_image(
     mag: np.ndarray, stats: tuple[float, float], image_size: int
 ) -> np.ndarray:
-    """(T <= 288, 257) STFT magnitude -> (1, S, S) normalized image.
+    """(T <= FULL_FRAMES, bins) STFT magnitude -> (1, S, S) normalized image.
 
-    Appends 31 zero frequency bands, normalizes, zero-pads the time axis
-    to 288 frames (padding rows take the normalized-zero constant), then
-    average-pools to `image_size` when a desk-scale size is configured.
+    Appends FREQ_ZERO_BANDS zero frequency bands, normalizes, pads the time
+    axis to FULL_FRAMES frames (padding rows take the normalized-zero
+    constant), then average-pools to `image_size` when a desk-scale size is
+    configured.
     """
     t = mag.shape[0]
     mag = np.concatenate([mag, np.zeros((t, FREQ_ZERO_BANDS))], axis=1)
-    image = np.full((FULL_FRAMES, mag.shape[1]), padding_value(stats))
+    image = np.full((FULL_FRAMES, FULL_FRAMES), padding_value(stats))
     image[:t] = log_normalize(mag, stats)
-    if image.shape != (FULL_FRAMES, FULL_FRAMES):
-        raise ValueError(f"expected {FULL_FRAMES}x{FULL_FRAMES} image, got {image.shape}")
     if image_size != FULL_FRAMES:
         image = _pool(image, image_size)
     return image[None]
 
 
+def image_to_magnitude(image: np.ndarray, stats: tuple[float, float]) -> np.ndarray:
+    """(S, S) normalized image -> (FULL_FRAMES, bins) STFT magnitude.
+
+    Undoes `_magnitude_to_image` as far as it can: repeats each pooled
+    pixel over its block, denormalizes and drops the zero bands.  Exact
+    (to rounding) at S = FULL_FRAMES, where padding frames come back as
+    magnitude zero.
+    """
+    size = image.shape[0]
+    if image.shape != (size, size) or FULL_FRAMES % size != 0:
+        raise ValueError(f"image shape {image.shape} does not map to a spectrogram")
+    factor = FULL_FRAMES // size
+    big = np.repeat(np.repeat(image, factor, axis=0), factor, axis=1)
+    return denormalize(big, stats)[:, : FULL_FRAMES - FREQ_ZERO_BANDS]
+
+
 def segment_to_spectrogram(
     w: Waveform,
     rec: SegmentRecord,
-    stft_config: StftConfig,
     stats: tuple[float, float],
     image_size: int = FULL_FRAMES,
 ) -> Spectrogram | None:
@@ -258,7 +277,7 @@ def segment_to_spectrogram(
 
     Takes the segment's STFT magnitude and shapes it as
     `_magnitude_to_image` does.  Returns None (discard) when the
-    segment spans more than 288 frames.
+    segment spans more than FULL_FRAMES frames.
     """
     if rec.start_sample < 0 or rec.end_sample > len(w.samples):
         raise ValueError(
@@ -266,7 +285,7 @@ def segment_to_spectrogram(
             f"of {len(w.samples)} samples"
         )
     seg = Waveform(w.samples[rec.start_sample:rec.end_sample], w.sample_rate)
-    mag = stft(seg, stft_config.window_len, stft_config.hop, stft_config.fft_size).magnitude
+    mag = stft(seg, STFT.window_len, STFT.hop, STFT.fft_size).magnitude
     if mag.shape[0] > FULL_FRAMES:
         return None
     pixels = _magnitude_to_image(mag, stats, image_size)
@@ -331,6 +350,11 @@ def _real_corpus_segments(root: Path, vowels) -> list[_RawSegment]:
         if not records:
             continue
         w = read_wav(wav_path)
+        if w.sample_rate != DEFAULT_SAMPLE_RATE:
+            raise ValueError(
+                f"{wav_path}: sample rate {w.sample_rate} Hz, "
+                f"the spectrogram front end needs {DEFAULT_SAMPLE_RATE} Hz"
+            )
         out.extend(_RawSegment(rec, w) for rec in records)
     return out
 
@@ -369,21 +393,20 @@ def build_corpus(
 
     # materialize segment waveforms, attach noisy twins, drop unusable segments
     segments: list[tuple[SegmentRecord, Waveform, np.ndarray]] = []  # (rec, wave, mag)
-    cfg = config.stft
     for item in raw:
         rec = item.record
         sliced = Waveform(
             item.waveform.samples[rec.start_sample:rec.end_sample],
             item.waveform.sample_rate,
         )
-        if len(sliced.samples) < cfg.window_len:
+        if len(sliced.samples) < STFT.window_len:
             continue  # shorter than one analysis window
         variants = [(rec, sliced)]
         if config.noise_snr_db is not None:
             twin = replace(rec, noise_snr_db=config.noise_snr_db)
             variants.append((twin, add_white_noise(sliced, noise_rng, config.noise_snr_db)))
         for vrec, vwave in variants:
-            mag = stft(vwave, cfg.window_len, cfg.hop, cfg.fft_size).magnitude
+            mag = stft(vwave, STFT.window_len, STFT.hop, STFT.fft_size).magnitude
             if mag.shape[0] <= FULL_FRAMES:  # longer segments are discarded
                 segments.append((vrec, vwave, mag))
 
@@ -414,7 +437,7 @@ def build_corpus(
     config_echo = {
         "source": source_echo,
         "image_size": config.image_size,
-        "stft": asdict(cfg),
+        "stft": asdict(STFT),
         "noise_snr_db": config.noise_snr_db,
         "train_fraction": config.train_fraction,
         "seed": rng.seed,

@@ -116,20 +116,14 @@ def randn(rng: Rng, shape) -> np.ndarray:
 
 @dataclass
 class LuFactors:
-    """Partial-pivoting LU factorization P A = L U.
+    """Diagonal of U in a partial-pivoting LU factorization P A = L U."""
 
-    `perm` maps output rows to input rows: (P A)[i] == A[perm[i]].
-    `lower` is unit lower triangular and `upper` upper triangular.
-    """
-
-    perm: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    u_diag: np.ndarray
 
     @property
     def log_abs_det(self) -> float:
         """ln |det A| = sum of ln |U_ii|."""
-        return float(np.sum(np.log(np.abs(np.diag(self.upper)))))
+        return float(np.sum(np.log(np.abs(self.u_diag))))
 
 
 def lu_decompose(a: np.ndarray) -> LuFactors:
@@ -141,15 +135,16 @@ def lu_decompose(a: np.ndarray) -> LuFactors:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"lu_decompose expects a square matrix, got {a.shape}")
-    # NaN/Inf pass through (check_finite=False) so a diverged weight shows
-    # up as a non-finite layer output, not as an error from here.
-    rows, lower, upper = scipy.linalg.lu(a, p_indices=True, check_finite=False)
-    small = np.flatnonzero(np.abs(np.diag(upper)) < PIVOT_TOL)
+    # getrf itself, not scipy.linalg.lu_factor, which warns on an exactly
+    # zero pivot before the check below raises.  NaN/Inf pass through, so a
+    # diverged weight shows up as a non-finite layer output, not as an error.
+    lu, _, _ = scipy.linalg.lapack.dgetrf(a)
+    u_diag = np.diag(lu)
+    small = np.flatnonzero(np.abs(u_diag) < PIVOT_TOL)
     if small.size:
         k = small[0]
-        raise SingularMatrixError(f"pivot {upper[k, k]:.3e} below {PIVOT_TOL} at column {k}")
-    perm = np.argsort(rows)  # a == lower[rows] @ upper
-    return LuFactors(perm=perm, lower=lower, upper=upper)
+        raise SingularMatrixError(f"pivot {u_diag[k]:.3e} below {PIVOT_TOL} at column {k}")
+    return LuFactors(u_diag=u_diag)
 
 
 def mat_inverse(a: np.ndarray) -> np.ndarray:

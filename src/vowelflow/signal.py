@@ -66,6 +66,8 @@ class ComplexStft:
 
 @dataclass
 class StftConfig:
+    """STFT settings in samples; `dataset.STFT` is the pipeline's fixed instance."""
+
     window_len: int = 400  # 25 ms at 16 kHz
     hop: int = 16  # 1 ms
     fft_size: int = 512  # 257 one-sided bins
@@ -116,8 +118,10 @@ def write_wav(path, w: Waveform) -> None:
 # STFT / inverse
 
 
-def stft(w: Waveform, window_len: int = 400, hop: int = 16, fft_size: int = 512) -> ComplexStft:
+def stft(w: Waveform, window_len: int, hop: int, fft_size: int) -> ComplexStft:
     """Hann-windowed one-sided STFT."""
+    if window_len < 1 or hop < 1:
+        raise ValueError(f"window_len and hop must be positive, got {window_len} and {hop}")
     if fft_size < window_len:
         raise ValueError(f"fft_size {fft_size} shorter than window {window_len}")
     n = len(w.samples)

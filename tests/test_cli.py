@@ -3,12 +3,14 @@
 import filecmp
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from vowelflow.cli import (
+    _SCHEMA,
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
@@ -18,8 +20,8 @@ from vowelflow.cli import (
     main,
     parse_sweep,
 )
-from vowelflow.numerics import read_tensor
-from vowelflow.signal import read_wav
+from vowelflow.numerics import Rng, read_tensor
+from vowelflow.signal import read_wav, synth_vowel, write_wav
 
 # Tiny but complete setup: 2 speakers x 5 vowels x 3 draws with 10 dB noisy
 # twins, 16x16 images, a 2-level flow, and a 12-step training run.
@@ -42,10 +44,6 @@ TINY_FLAGS = [
 # The whole config surface: every --section.key flag with its default, and
 # the default echo embedded in artifacts.
 DEFAULTS = {
-    "data.sample_rate": 16000,
-    "data.window_ms": 25.0,
-    "data.hop_ms": 1.0,
-    "data.fft_size": 512,
     "data.image_size": 32,
     "data.noise_snr_db": None,
     "data.train_fraction": 0.9,
@@ -66,8 +64,8 @@ DEFAULTS = {
     "train.checkpoint_every": 100,
 }
 DEFAULT_ECHO = (
-    '{"data": {"fft_size": 512, "hop_ms": 1.0, "image_size": 32, "noise_snr_db": null, '
-    '"sample_rate": 16000, "train_fraction": 0.9, "window_ms": 25.0, "write_wavs": false}, '
+    '{"data": {"image_size": 32, "noise_snr_db": null, "train_fraction": 0.9, '
+    '"write_wavs": false}, '
     '"flow": {"coupling_width": 32, "depth": 2, "levels": 3}, "seed": 0, '
     '"synth": {"draws_per_vowel": 10, "n_speakers": 4}, '
     '"train": {"batch_size": 16, "beta1": 0.9, "beta2": 0.999, "checkpoint_every": 100, '
@@ -121,6 +119,30 @@ class TestExitCodes:
 
     def test_bad_flag_value_is_usage_error(self):
         assert main(["--train.steps", "1.5", "synth-data"]) == EXIT_USAGE
+
+    def test_stft_flag_is_unknown(self, capsys):
+        # the spectrogram front end is fixed; it has no config keys
+        assert main(["--data.fft_size", "512", "synth-data"]) == EXIT_USAGE
+        assert main(["synth-data", "--data.fft_size", "512"]) == EXIT_USAGE
+        assert "unrecognized arguments: --data.fft_size" in capsys.readouterr().err
+
+    def test_stft_config_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"data": {"fft_size": 512}}')
+        assert main(["--config", str(cfg), "synth-data"]) == EXIT_USAGE
+        assert "unknown config key data.fft_size" in capsys.readouterr().err
+
+    def test_prepare_rejects_other_sample_rates(self, tmp_path, capsys):
+        speaker = tmp_path / "timit" / "dr1" / "MABC0"
+        speaker.mkdir(parents=True)
+        aa = synth_vowel(Rng(1), "aa", 120.0, 0.2, sample_rate=8000)
+        write_wav(speaker / "sx1.wav", aa)
+        (speaker / "sx1.phn").write_text(f"0 {len(aa.samples)} aa\n")
+        rc = main(["--out-dir", str(tmp_path / "out"), "prepare",
+                   "--corpus-root", str(tmp_path / "timit")])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert str(speaker / "sx1.wav") in err and "8000 Hz" in err
 
     def test_missing_corpus_is_runtime_error(self, tmp_path, capsys):
         assert run(tmp_path / "empty", "train") == EXIT_RUNTIME
@@ -261,9 +283,23 @@ class TestConfigMerging:
             for section, keys in cfg.sections.items()
             for key, value in keys.items()
         }
-        assert flags == set(DEFAULTS) and len(flags) == 22
+        assert flags == set(DEFAULTS) and len(flags) == 18
         assert defaults == DEFAULTS
         assert cfg.echo() == DEFAULT_ECHO
+
+    def test_readme_table_matches_schema(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme.read_text(), re.MULTILINE)
+        table = {
+            (section, key): text
+            for section, cells in rows
+            for key, text in re.findall(r"`(\w+)` (\S+?)(?:,|$)", cells)
+        }
+        schema = {(section, key) for section, keys in _SCHEMA.items() for key in keys}
+        assert set(table) == schema
+        for (section, key), text in table.items():
+            default, coerce = _SCHEMA[section][key]
+            assert coerce(text) == default, f"{section}.{key}"
 
     def test_echo_is_one_line_json(self):
         cfg = parse_config(["--seed", "3", "synth-data"])

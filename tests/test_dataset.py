@@ -17,13 +17,14 @@ from vowelflow.dataset import (
     SyntheticSpec,
     build_corpus,
     extract_segments,
+    image_to_magnitude,
     load_manifest,
     padding_value,
     parse_phone_alignment,
     segment_to_spectrogram,
 )
 from vowelflow.numerics import Rng
-from vowelflow.signal import StftConfig, Waveform, stft, synth_vowel, write_wav
+from vowelflow.signal import Waveform, denormalize, log_normalize, stft, synth_vowel, write_wav
 
 
 class TestParseAlignment:
@@ -80,7 +81,7 @@ class TestSegmentToSpectrogram:
     def test_padding_contract(self):
         w = synth_vowel(Rng(1), "aa", 120.0, 0.075)  # 1200 samples -> 51 frames
         rec = rec_for("u0", end=len(w.samples))
-        spec = segment_to_spectrogram(w, rec, StftConfig(), STATS, image_size=288)
+        spec = segment_to_spectrogram(w, rec, STATS, image_size=288)
         assert spec.valid_frames == 51
         pad = padding_value(STATS)
         np.testing.assert_array_equal(spec.pixels[0, 51:], pad)
@@ -89,25 +90,25 @@ class TestSegmentToSpectrogram:
     def test_discard_rule(self):
         w = synth_vowel(Rng(2), "aa", 120.0, 0.4)  # 6400 samples -> 376 frames
         rec = rec_for("u1", end=len(w.samples))
-        assert segment_to_spectrogram(w, rec, StftConfig(), STATS, 288) is None
+        assert segment_to_spectrogram(w, rec, STATS, 288) is None
 
     def test_output_shape_full(self):
         w = synth_vowel(Rng(3), "iy", 150.0, 0.2)
         rec = rec_for("u2", end=len(w.samples))
-        spec = segment_to_spectrogram(w, rec, StftConfig(), STATS, 288)
+        spec = segment_to_spectrogram(w, rec, STATS, 288)
         assert spec.pixels.shape == (1, 288, 288)
 
     def test_output_shape_desk(self):
         w = synth_vowel(Rng(4), "iy", 150.0, 0.2)
         rec = rec_for("u3", end=len(w.samples))
-        spec = segment_to_spectrogram(w, rec, StftConfig(), STATS, 32)
+        spec = segment_to_spectrogram(w, rec, STATS, 32)
         assert spec.pixels.shape == (1, 32, 32)
 
     def test_desk_is_average_pool_of_full(self):
         w = synth_vowel(Rng(5), "ow", 100.0, 0.18)
         rec = rec_for("u4", end=len(w.samples))
-        full = segment_to_spectrogram(w, rec, StftConfig(), STATS, 288).pixels[0]
-        desk = segment_to_spectrogram(w, rec, StftConfig(), STATS, 32).pixels[0]
+        full = segment_to_spectrogram(w, rec, STATS, 288).pixels[0]
+        desk = segment_to_spectrogram(w, rec, STATS, 32).pixels[0]
         pooled = full.reshape(32, 9, 32, 9).mean(axis=(1, 3))
         np.testing.assert_allclose(desk, pooled, atol=1e-12)
 
@@ -115,7 +116,37 @@ class TestSegmentToSpectrogram:
         w = synth_vowel(Rng(6), "uh", 100.0, 0.2)
         rec = rec_for("u5", end=len(w.samples) + 5)
         with pytest.raises(ValueError):
-            segment_to_spectrogram(w, rec, StftConfig(), STATS, 288)
+            segment_to_spectrogram(w, rec, STATS, 288)
+
+
+class TestImageToMagnitude:
+    def segment(self):
+        w = synth_vowel(Rng(7), "ae", 140.0, 0.15)
+        rec = rec_for("u6", end=len(w.samples))
+        mag = stft(w, 400, 16, 512).magnitude
+        return w, rec, mag
+
+    def test_full_size_returns_the_magnitude(self):
+        w, rec, mag = self.segment()
+        spec = segment_to_spectrogram(w, rec, STATS, 288)
+        back = image_to_magnitude(spec.pixels[0], STATS)
+        assert back.shape == (288, 257)
+        np.testing.assert_allclose(back[: spec.valid_frames], mag, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(back[spec.valid_frames:], 0.0, atol=1e-15)
+
+    def test_desk_size_repeats_the_pooled_image(self):
+        w, rec, _ = self.segment()
+        pooled = segment_to_spectrogram(w, rec, STATS, 32).pixels[0]
+        back = image_to_magnitude(pooled, STATS)
+        assert back.shape == (288, 257)
+        repeated = np.repeat(np.repeat(pooled, 9, axis=0), 9, axis=1)[:, :257]
+        np.testing.assert_array_equal(back, denormalize(repeated, STATS))
+        np.testing.assert_allclose(log_normalize(back, STATS), repeated, atol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(32, 16), (30, 30)])
+    def test_unmappable_image_rejected(self, shape):
+        with pytest.raises(ValueError, match="does not map to a spectrogram"):
+            image_to_magnitude(np.zeros(shape), STATS)
 
 
 @pytest.fixture(scope="module")

@@ -104,6 +104,11 @@ class TestStft:
         with pytest.raises(ValueError):
             stft(Waveform(np.zeros(399)), 400, 16, 512)
 
+    @pytest.mark.parametrize("window_len, hop", [(400, 0), (400, -16), (0, 16)])
+    def test_nonpositive_window_or_hop_rejected(self, window_len, hop):
+        with pytest.raises(ValueError, match="window_len and hop must be positive"):
+            stft(Waveform(np.zeros(1000)), window_len, hop, 512)
+
 
 class TestIstftPhaseBorrow:
     def test_round_trip_snr(self):
