@@ -242,10 +242,9 @@ def _magnitude_to_image(
     constant), then average-pools to `image_size` when a desk-scale size is
     configured.
     """
-    t = mag.shape[0]
-    mag = np.concatenate([mag, np.zeros((t, FREQ_ZERO_BANDS))], axis=1)
     image = np.full((FULL_FRAMES, FULL_FRAMES), padding_value(stats))
-    image[:t] = log_normalize(mag, stats)
+    # the zero bands and padding rows already hold the normalized zero
+    image[: mag.shape[0], : mag.shape[1]] = log_normalize(mag, stats)
     if image_size != FULL_FRAMES:
         image = _pool(image, image_size)
     return image[None]
@@ -355,6 +354,12 @@ def _real_corpus_segments(root: Path, vowels) -> list[_RawSegment]:
                 f"{wav_path}: sample rate {w.sample_rate} Hz, "
                 f"the spectrogram front end needs {DEFAULT_SAMPLE_RATE} Hz"
             )
+        for rec in records:
+            if rec.end_sample > len(w.samples):
+                raise ValueError(
+                    f"{phn}: segment '{rec.start_sample} {rec.end_sample} {rec.vowel}' "
+                    f"runs past the {len(w.samples)} samples of {wav_path.name}"
+                )
         out.extend(_RawSegment(rec, w) for rec in records)
     return out
 

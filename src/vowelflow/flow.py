@@ -375,7 +375,8 @@ class FlowModel:
 
     # -- forward / inverse ---------------------------------------------------
 
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
+    def check_input(self, x: np.ndarray) -> np.ndarray:
+        """x as a float64 (B, C, H, W) batch of the configured input shape."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1:] != self.config.input_shape:
             raise ShapeError(
@@ -390,7 +391,7 @@ class FlowModel:
 
         The cache holds, per level, each layer's cache in layer order.
         """
-        h = self._check_input(x)
+        h = self.check_input(x)
         logdet = np.zeros(h.shape[0])
         parts: list[np.ndarray] = []
         cache: list[list] = []

@@ -15,12 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowModel, prior_logprob
+from .flow import FlowConfig, FlowModel, prior_logprob
 from .numerics import Rng, ShapeError
 
 DEFAULT_INTERP_ALPHAS = tuple(np.linspace(0.1, 0.9, 9))
 DEFAULT_DENOISE_BETAS = tuple(np.linspace(0.0, 0.8, 9))
 LDA_SHRINKAGE = 1e-3
+# Working-set budget of one encode/decode chunk: small enough that a
+# conv's patch matrix stays in cache for its GEMM.
+CHUNK_BYTES = 8 * 2**20
 
 
 class DegenerateProbeError(ValueError):
@@ -31,18 +34,44 @@ class DegenerateProbeError(ValueError):
 # encode / decode / sample
 
 
+def chunk_rows(config: FlowConfig) -> int:
+    """Images per `encode_batch`/`decode_batch` chunk.
+
+    CHUNK_BYTES over the widest per-image conv patch matrix: the
+    first level's coupling convs, width * 3x3 taps * (H/2)(W/2) float64.
+    """
+    _, h, w = config.input_shape
+    per_image = config.coupling_width * 9 * (h // 2) * (w // 2) * 8
+    return max(1, CHUNK_BYTES // per_image)
+
+
 def encode_batch(model: FlowModel, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N, C, H, W) pixels -> codes (N, d) and log likelihoods (N,)."""
-    parts, logdet, _ = model.forward(pixels)
-    z = model.flatten_parts(parts)
-    return z, prior_logprob(z) + logdet
+    """(N, C, H, W) pixels -> codes (N, d) and log likelihoods (N,).
+
+    The flow runs over `chunk_rows` images at a time; every op is per
+    example, so the result is exactly that of one call on all N.
+    """
+    pixels = model.check_input(pixels)
+    n, k = pixels.shape[0], chunk_rows(model.config)
+    z = np.empty((n, model.code_size))
+    lnp = np.empty(n)
+    for i in range(0, n, k):
+        parts, logdet, _ = model.forward(pixels[i : i + k])
+        z[i : i + k] = model.flatten_parts(parts)
+        lnp[i : i + k] = prior_logprob(z[i : i + k]) + logdet
+    return z, lnp
 
 
 def decode_batch(model: FlowModel, z: np.ndarray) -> np.ndarray:
-    """Codes (N, d) or (d,) -> pixels; the exact inverse of encoding."""
+    """Codes (N, d) or (d,) -> pixels; the exact inverse of encoding,
+    chunked like `encode_batch`."""
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
-    out = model.inverse(model.unflatten_code(z))
+    parts = model.unflatten_code(z)
+    n, k = parts[0].shape[0], chunk_rows(model.config)
+    out = np.empty((n, *model.config.input_shape))
+    for i in range(0, n, k):
+        out[i : i + k] = model.inverse([p[i : i + k] for p in parts])
     return out[0] if single else out
 
 

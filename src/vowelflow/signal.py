@@ -90,14 +90,23 @@ def _hann(n: int) -> np.ndarray:
 
 
 def read_wav(path) -> Waveform:
-    """Read a 16-bit mono PCM WAV; samples are scaled by 1/32768."""
-    with wave.open(str(path), "rb") as fp:
+    """Read a 16-bit mono PCM WAV; samples are scaled by 1/32768.
+
+    Every format error is a ValueError that names the file."""
+    try:
+        fp = wave.open(str(path), "rb")
+    except wave.Error as exc:
+        # the stdlib reader rejects compressed (non-PCM) formats itself
+        raise ValueError(f"{path}: {exc}") from None
+    except EOFError:
+        raise ValueError(f"{path}: truncated WAV header") from None
+    with fp:
         if fp.getnchannels() != 1:
-            raise ValueError(f"expected mono WAV, got {fp.getnchannels()} channels")
+            raise ValueError(f"{path}: expected mono WAV, got {fp.getnchannels()} channels")
         if fp.getsampwidth() != 2:
-            raise ValueError(f"expected 16-bit PCM, got {8 * fp.getsampwidth()}-bit")
+            raise ValueError(f"{path}: expected 16-bit PCM, got {8 * fp.getsampwidth()}-bit")
         if fp.getcomptype() != "NONE":
-            raise ValueError(f"unsupported WAV encoding {fp.getcomptype()!r}")
+            raise ValueError(f"{path}: unsupported WAV encoding {fp.getcomptype()!r}")
         rate = fp.getframerate()
         raw = fp.readframes(fp.getnframes())
     ints = np.frombuffer(raw, dtype="<i2")
@@ -124,10 +133,10 @@ def stft(w: Waveform, window_len: int, hop: int, fft_size: int) -> ComplexStft:
         raise ValueError(f"window_len and hop must be positive, got {window_len} and {hop}")
     if fft_size < window_len:
         raise ValueError(f"fft_size {fft_size} shorter than window {window_len}")
-    n = len(w.samples)
-    t = frame_count(n, window_len, hop)
-    idx = np.arange(window_len)[None, :] + hop * np.arange(t)[:, None]
-    frames = w.samples[idx] * _hann(window_len)[None, :]
+    frame_count(len(w.samples), window_len, hop)  # rejects input shorter than a window
+    # a strided view of the frames: no index array, no gathered copy
+    windows = np.lib.stride_tricks.sliding_window_view(w.samples, window_len)[::hop]
+    frames = windows * _hann(window_len)[None, :]
     spec = np.fft.rfft(frames, n=fft_size, axis=1)
     return ComplexStft(frames=spec, window_len=window_len, hop=hop, fft_size=fft_size)
 
@@ -174,7 +183,11 @@ def log_normalize(mag: np.ndarray, stats: tuple[float, float]) -> np.ndarray:
     if np.any(mag < 0):
         raise ValueError("magnitudes must be nonnegative")
     mean, std = stats
-    return (np.log(mag + MAG_FLOOR) - mean) / std
+    # in place: two large temporaries instead of four, same bits
+    out = np.log(mag + MAG_FLOOR)
+    out -= mean
+    out /= std
+    return out
 
 
 def denormalize(y: np.ndarray, stats: tuple[float, float]) -> np.ndarray:

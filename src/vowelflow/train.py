@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import FlowConfig, FlowModel, NonFiniteError, prior_logprob
+from .latent import encode_batch
 from .numerics import Rng, read_exact, read_tensor_from, write_tensor_to
 
 CHECKPOINT_MAGIC = b"FSCK"
@@ -81,9 +82,7 @@ def nll(model: FlowModel, batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Negative mean log likelihood in nats per dimension.
 
     Returns the scalar loss and the per-example ln p(x) values."""
-    parts, logdet, _ = model.forward(batch)
-    z = model.flatten_parts(parts)
-    lnp = prior_logprob(z) + logdet
+    _, lnp = encode_batch(model, batch)
     return -float(np.mean(lnp)) / model.code_size, lnp
 
 

@@ -144,6 +144,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(speaker / "sx1.wav") in err and "8000 Hz" in err
 
+    def test_prepare_rejects_segment_past_wav_end(self, tmp_path, capsys):
+        speaker = tmp_path / "timit" / "dr1" / "MABC0"
+        speaker.mkdir(parents=True)
+        write_wav(speaker / "sx1.wav", synth_vowel(Rng(1), "aa", 120.0, 0.2))
+        (speaker / "sx1.phn").write_text("0 9600 aa\n")
+        rc = main(["--out-dir", str(tmp_path / "out"), "prepare",
+                   "--corpus-root", str(tmp_path / "timit")])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert str(speaker / "sx1.phn") in err and "'0 9600 aa'" in err
+        assert "3200 samples" in err
+
+    @pytest.mark.parametrize(
+        "channels, width, message",
+        [(2, 2, "expected mono WAV, got 2 channels"),
+         (1, 1, "expected 16-bit PCM, got 8-bit")],
+    )
+    def test_prepare_wav_format_errors_name_the_file(
+        self, tmp_path, capsys, channels, width, message
+    ):
+        import wave
+
+        speaker = tmp_path / "timit" / "dr1" / "MABC0"
+        speaker.mkdir(parents=True)
+        with wave.open(str(speaker / "sx1.wav"), "wb") as fp:
+            fp.setnchannels(channels)
+            fp.setsampwidth(width)
+            fp.setframerate(16000)
+            fp.writeframes(b"\0" * channels * width * 3200)
+        (speaker / "sx1.phn").write_text("0 3200 aa\n")
+        rc = main(["--out-dir", str(tmp_path / "out"), "prepare",
+                   "--corpus-root", str(tmp_path / "timit")])
+        assert rc == EXIT_RUNTIME
+        assert f"{speaker / 'sx1.wav'}: {message}" in capsys.readouterr().err
+
     def test_missing_corpus_is_runtime_error(self, tmp_path, capsys):
         assert run(tmp_path / "empty", "train") == EXIT_RUNTIME
         assert "error" in capsys.readouterr().err.lower()

@@ -24,7 +24,15 @@ from vowelflow.dataset import (
     segment_to_spectrogram,
 )
 from vowelflow.numerics import Rng
-from vowelflow.signal import Waveform, denormalize, log_normalize, stft, synth_vowel, write_wav
+from vowelflow.signal import (
+    MAG_FLOOR,
+    Waveform,
+    denormalize,
+    log_normalize,
+    stft,
+    synth_vowel,
+    write_wav,
+)
 
 
 class TestParseAlignment:
@@ -111,6 +119,22 @@ class TestSegmentToSpectrogram:
         desk = segment_to_spectrogram(w, rec, STATS, 32).pixels[0]
         pooled = full.reshape(32, 9, 32, 9).mean(axis=(1, 3))
         np.testing.assert_allclose(desk, pooled, atol=1e-12)
+
+    def test_equals_reference_front_end(self):
+        # the front end written out with gathered frames, concatenated zero
+        # bands and whole-array normalization: the streamlined code must
+        # give the same bits
+        w = synth_vowel(Rng(7), "ae", 130.0, 0.15)
+        win, hop, nfft = dataset.STFT.window_len, dataset.STFT.hop, dataset.STFT.fft_size
+        t = (len(w.samples) - win) // hop + 1
+        idx = np.arange(win)[None, :] + hop * np.arange(t)[:, None]
+        hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
+        mag = np.abs(np.fft.rfft(w.samples[idx] * hann[None, :], n=nfft, axis=1))
+        mag = np.concatenate([mag, np.zeros((t, 288 - mag.shape[1]))], axis=1)
+        image = np.full((288, 288), (math.log(MAG_FLOOR) - STATS[0]) / STATS[1])
+        image[:t] = (np.log(mag + MAG_FLOOR) - STATS[0]) / STATS[1]
+        spec = segment_to_spectrogram(w, rec_for("u6", end=len(w.samples)), STATS, 288)
+        np.testing.assert_array_equal(spec.pixels[0], image)
 
     def test_bounds_violation(self):
         w = synth_vowel(Rng(6), "uh", 100.0, 0.2)

@@ -12,11 +12,14 @@ import numpy.testing as npt
 import pytest
 
 from conftest import make_identity_model, make_random_model, tiny_config
+from vowelflow import latent
+from vowelflow.flow import FlowConfig, FlowModel, prior_logprob
 from vowelflow.latent import (
     DEFAULT_DENOISE_BETAS,
     DEFAULT_INTERP_ALPHAS,
     DegenerateProbeError,
     DisplacementVector,
+    chunk_rows,
     decode_batch,
     denoise,
     encode_batch,
@@ -57,6 +60,72 @@ class TestEncodeDecode:
         out = decode_batch(model, z)
         assert out.shape == (1, 4, 4)
         npt.assert_array_equal(np.sort(out.reshape(-1)), np.sort(z))
+
+    def test_empty_batch(self):
+        model = make_random_model(tiny_config(), seed=0, perturb_coupling=0.3)
+        z, lnp = encode_batch(model, np.empty((0, 1, 4, 4)))
+        assert z.shape == (0, 16) and lnp.shape == (0,)
+        assert decode_batch(model, z).shape == (0, 1, 4, 4)
+        with pytest.raises(ShapeError):
+            encode_batch(model, np.empty((0, 1, 4, 5)))
+        with pytest.raises(ShapeError):
+            decode_batch(model, np.empty((0, 15)))
+
+
+# two levels, so codes have several parts; CHUNK_BYTES is cut to give K rows
+CHUNK_CONFIG = FlowConfig(levels=2, depth=1, coupling_width=4, input_shape=(1, 8, 8))
+K = 4
+
+
+class TestChunking:
+    @pytest.fixture
+    def model(self, monkeypatch):
+        per_image = 4 * 9 * 4 * 4 * 8
+        monkeypatch.setattr(latent, "CHUNK_BYTES", K * per_image + per_image // 2)
+        assert chunk_rows(CHUNK_CONFIG) == K
+        return make_random_model(CHUNK_CONFIG, seed=3, perturb_coupling=0.3)
+
+    def test_chunk_size_from_budget(self):
+        assert chunk_rows(FlowConfig()) == 14
+        assert chunk_rows(FlowConfig.full_scale()) == 1
+
+    @pytest.mark.parametrize("n", [1, K - 1, K, K + 1, 2 * K + 3])
+    def test_equal_to_one_call(self, model, n):
+        x = Rng(n).standard_normal((n, *CHUNK_CONFIG.input_shape))
+        parts, logdet, _ = model.forward(x)
+        z_ref = model.flatten_parts(parts)
+        z, lnp = encode_batch(model, x)
+        npt.assert_array_equal(z, z_ref)
+        npt.assert_array_equal(lnp, prior_logprob(z_ref) + logdet)
+        codes = Rng(100 + n).standard_normal((n, model.code_size))
+        npt.assert_array_equal(
+            decode_batch(model, codes), model.inverse(model.unflatten_code(codes))
+        )
+
+    def test_single_code_equal_to_one_call(self, model):
+        code = Rng(7).standard_normal(model.code_size)
+        npt.assert_array_equal(
+            decode_batch(model, code), model.inverse(model.unflatten_code(code))[0]
+        )
+
+    def test_no_call_exceeds_chunk(self, model, monkeypatch):
+        rows = []
+        forward, inverse = FlowModel.forward, FlowModel.inverse
+
+        def spy_forward(self, x, *args, **kwargs):
+            rows.append(len(x))
+            return forward(self, x, *args, **kwargs)
+
+        def spy_inverse(self, parts):
+            rows.append(len(parts[0]))
+            return inverse(self, parts)
+
+        monkeypatch.setattr(FlowModel, "forward", spy_forward)
+        monkeypatch.setattr(FlowModel, "inverse", spy_inverse)
+        n = 2 * K + 3
+        z, _ = encode_batch(model, Rng(8).standard_normal((n, *CHUNK_CONFIG.input_shape)))
+        decode_batch(model, z)
+        assert rows == [K, K, 3] * 2
 
 
 class TestSample:

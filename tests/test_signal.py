@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -59,6 +61,18 @@ class TestWav:
             fp.setframerate(16000)
             fp.writeframes(b"\0\0\0\0" * 10)
         with pytest.raises(ValueError):
+            read_wav(path)
+
+    def test_compressed_and_truncated_errors_name_the_file(self, tmp_path):
+        # IEEE-float (format 3) header: not PCM, which the stdlib reader refuses
+        header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 44, b"WAVE", b"fmt ",
+                             16, 3, 1, 16000, 64000, 4, 32, b"data", 8)
+        path = tmp_path / "f.wav"
+        path.write_bytes(header + b"\0" * 8)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown format")):
+            read_wav(path)
+        path.write_bytes(header[:20])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated WAV header")):
             read_wav(path)
 
 
