@@ -33,7 +33,7 @@ for temperature in (1.0, 0.7):
           f"[{images.min():.2f}, {images.max():.2f}]")
 
 # Interpolation happens in code space: z(alpha) = (1-alpha) z_a + alpha z_b,
-# decoded back to pixels.  The sweep runs alpha = 0.1 ... 0.9.
+# decoded back to pixels.  The Sweep runs alpha = 0.1 ... 0.9 (its ts).
 utts = {e.record.utterance_id: i for i, e in enumerate(manifest.entries)}
 with CorpusReader(out) as reader:
     pair = reader.load([utts["spk00_aa_000"], utts["spk00_ae_000"]])
@@ -43,5 +43,5 @@ sweep = interpolate(model, z[0], z[1])
 # Bookend the strip with the real endpoints for comparison.
 strip = np.concatenate([pair[:1, 0], sweep.images[:, 0], pair[1:, 0]])
 write_image_strip(out / "interpolation.pgm", strip)
-print(f"interpolation: {len(sweep.alphas)} steps between spk00_aa_000 "
+print(f"interpolation: {len(sweep.ts)} steps between spk00_aa_000 "
       f"and spk00_ae_000 -> interpolation.pgm")

@@ -21,9 +21,9 @@ from vowelflow import (
     build_corpus,
     build_model,
     denoise,
+    displacement,
     encode_batch,
     load_manifest,
-    noise_displacement,
     train_loop,
 )
 from vowelflow.latent import write_image_strip
@@ -44,16 +44,17 @@ train_loop(model, pixels, TrainConfig(steps=300, lr=1e-3, seed=seed), out,
            stats=manifest.stats)
 
 # The displacement is the difference of the two population means in code
-# space; scaling it by beta and subtracting moves a noisy code toward
-# the clean region.
+# space, clean to noisy; scaling it by beta and subtracting moves a noisy
+# code toward the clean region.
 train_utts = set(manifest.train_utterances)
 fit = [p for p in pairs if manifest.entries[p[0]].record.utterance_id in train_utts]
 held = [p for p in pairs if manifest.entries[p[0]].record.utterance_id not in train_utts]
 with CorpusReader(out) as reader:
     z_clean, _ = encode_batch(model, reader.load([p[0] for p in fit]))
     z_noisy, _ = encode_batch(model, reader.load([p[1] for p in fit]))
-    xi = noise_displacement(z_clean, z_noisy, snr_db=10.0)
-    print(f"displacement over {len(fit)} training pairs, norm {xi.norm:.3f}")
+    xi = displacement(z_clean, z_noisy)
+    print(f"displacement over {len(fit)} training pairs, "
+          f"norm {np.linalg.norm(xi):.3f}")
 
     clean_i, noisy_i = held[0]
     target = manifest.entries[noisy_i].record.utterance_id
@@ -61,14 +62,14 @@ with CorpusReader(out) as reader:
     z, _ = encode_batch(model, reader.pixels(noisy_i)[None])
 
 # Sweep beta from 0 (untouched) to 0.8 and track the distance to the
-# clean reference.
-result = denoise(model, z[0], xi)
-mse = np.mean((result.images - clean_px[None]) ** 2, axis=(1, 2, 3))
+# clean reference.  The Sweep holds each beta (ts), code and image.
+sweep = denoise(model, z[0], xi)
+mse = np.mean((sweep.images - clean_px[None]) ** 2, axis=(1, 2, 3))
 print(f"held-out target: {target}")
-for beta, err in zip(result.betas, mse):
+for beta, err in zip(sweep.ts, mse):
     marker = "  <- best" if err == mse.min() else ""
     print(f"  beta {beta:.1f}  mse to clean {err:.4f}{marker}")
 
-strip = np.concatenate([result.images[:, 0], clean_px[None, 0]])
+strip = np.concatenate([sweep.images[:, 0], clean_px[None, 0]])
 write_image_strip(out / "denoise_sweep.pgm", strip)
 print("wrote denoise_sweep.pgm (sweep plus clean reference)")

@@ -53,7 +53,8 @@ with CorpusReader(out) as reader:
 to_waveform(aa[0], "spk00_aa_000", "recon_aa.wav")
 
 # Then a model output: the halfway point between /aa/ and /ae/ decoded
-# by the flow, rendered with the /aa/ segment's phase.
+# by the flow (a one-point interpolation Sweep), rendered with the /aa/
+# segment's phase.
 model = load_checkpoint(out / "checkpoint.fsck").model
 with CorpusReader(out) as reader:
     pair = reader.load([utts["spk00_aa_000"], utts["spk00_ae_000"]])

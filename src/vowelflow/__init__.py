@@ -8,7 +8,7 @@ The package splits into infrastructure and model code:
 - `flow`: invertible layers (actnorm, QR-initialized 1x1 conv, affine coupling)
   and the multi-scale flow with exact log-determinants and hand-derived gradients
 - `train`: maximum-likelihood loop, Adam, checkpoints, gradient audit
-- `latent`: sampling, interpolation, noise displacement, Gaussianity
+- `latent`: sampling, interpolation and displacement sweeps, Gaussianity
   statistics, and the two-class discriminant probe
 - `cli`: `vowelflow` command wiring the full pipeline
 """
@@ -32,16 +32,16 @@ from .train import (
     train_loop,
 )
 from .latent import (
-    DisplacementVector,
     GaussianityReport,
     LdaProbe,
-    denoise,
-    encode_batch,
+    Sweep,
     decode_batch,
+    denoise,
+    displacement,
+    encode_batch,
     gaussianity_report,
     interpolate,
     lda_fit,
-    noise_displacement,
     project_scatter,
     sample,
 )
@@ -66,16 +66,16 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "train_loop",
-    "DisplacementVector",
     "GaussianityReport",
     "LdaProbe",
-    "denoise",
-    "encode_batch",
+    "Sweep",
     "decode_batch",
+    "denoise",
+    "displacement",
+    "encode_batch",
     "gaussianity_report",
     "interpolate",
     "lda_fit",
-    "noise_displacement",
     "project_scatter",
     "sample",
     "Rng",

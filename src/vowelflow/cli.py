@@ -39,12 +39,12 @@ from .dataset import (
 )
 from .flow import FlowConfig
 from .latent import (
-    encode_batch,
     denoise,
+    displacement,
+    encode_batch,
     gaussianity_report,
     interpolate,
     lda_fit,
-    noise_displacement,
     project_scatter,
     sample,
     scatter_pair,
@@ -257,9 +257,29 @@ def _corpus_dir(args: argparse.Namespace, out: Path) -> Path:
     return Path(data) if data is not None else out
 
 
-def _checkpoint_path(args: argparse.Namespace, out: Path) -> Path:
-    ckpt = getattr(args, "checkpoint", None)
-    return Path(ckpt) if ckpt is not None else out / "checkpoint.fsck"
+def _inputs(args: argparse.Namespace, out: Path):
+    """The corpus manifest, and a loader of (N, 1, S, S) pixels by index."""
+    corpus = _corpus_dir(args, out)
+    manifest = load_manifest(corpus)
+
+    def load(indices) -> np.ndarray:
+        with CorpusReader(corpus) as reader:
+            return reader.load(indices)
+
+    return manifest, load
+
+
+def _model(args: argparse.Namespace, out: Path):
+    path = out / "checkpoint.fsck" if args.checkpoint is None else args.checkpoint
+    return load_checkpoint(path).model
+
+
+def _write_decoded(out: Path, stem: str, model, images: np.ndarray) -> np.ndarray:
+    """Write `<stem>.fstn` and a `<stem>.pgm` strip; return nats/dim per image."""
+    write_tensor(out / f"{stem}.fstn", images)
+    write_image_strip(out / f"{stem}.pgm", images[:, 0])
+    _, lnp = encode_batch(model, images)
+    return -lnp / model.code_size
 
 
 def _split_indices(manifest, split: str) -> list[int]:
@@ -287,10 +307,6 @@ def _config_comment(cfg: RunConfig) -> str:
     return f"config {cfg.echo()}"
 
 
-def _nats_per_dim(lnp: np.ndarray, dim: int) -> np.ndarray:
-    return -np.asarray(lnp) / dim
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -307,10 +323,8 @@ def cmd_build_corpus(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    corpus = _corpus_dir(args, out)
-    manifest = load_manifest(corpus)
-    with CorpusReader(corpus) as reader:
-        pixels = reader.load(_split_indices(manifest, "train"))
+    manifest, load = _inputs(args, out)
+    pixels = load(_split_indices(manifest, "train"))
 
     train_config = cfg.train_config()
     resume = None
@@ -352,15 +366,11 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_encode(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    corpus = _corpus_dir(args, out)
-    manifest = load_manifest(corpus)
-    loaded = load_checkpoint(_checkpoint_path(args, out))
+    manifest, load = _inputs(args, out)
+    model = _model(args, out)
     indices = _split_indices(manifest, args.split)
-    with CorpusReader(corpus) as reader:
-        pixels = reader.load(indices)
-
-    z, lnp = encode_batch(loaded.model, pixels)
-    nats = _nats_per_dim(lnp, loaded.model.code_size)
+    z, lnp = encode_batch(model, load(indices))
+    nats = -lnp / model.code_size
     write_tensor(out / "codes.fstn", z)
     rows = []
     for j, i in enumerate(indices):
@@ -392,13 +402,9 @@ def cmd_encode(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_sample(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    loaded = load_checkpoint(_checkpoint_path(args, out))
-    z, images = sample(loaded.model, Rng(cfg.seed), args.n, args.temperature)
-    _, lnp = encode_batch(loaded.model, images)
-    nats = _nats_per_dim(lnp, loaded.model.code_size)
-
-    write_tensor(out / "samples.fstn", images)
-    write_image_strip(out / "samples.pgm", images[:, 0])
+    model = _model(args, out)
+    _, images = sample(model, Rng(cfg.seed), args.n, args.temperature)
+    nats = _write_decoded(out, "samples", model, images)
     rows = [(i, args.temperature, nats[i]) for i in range(args.n)]
     write_csv(
         out / "samples.csv",
@@ -411,24 +417,16 @@ def cmd_sample(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_interpolate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    corpus = _corpus_dir(args, out)
-    manifest = load_manifest(corpus)
-    loaded = load_checkpoint(_checkpoint_path(args, out))
+    manifest, load = _inputs(args, out)
+    model = _model(args, out)
     alphas = parse_sweep(args.alphas)
 
     ia = _find_segment(manifest, args.a, noisy=False)
     ib = _find_segment(manifest, args.b, noisy=False)
-    with CorpusReader(corpus) as reader:
-        pixels = reader.load([ia, ib])
-    z, _ = encode_batch(loaded.model, pixels)
-
-    result = interpolate(loaded.model, z[0], z[1], alphas)
-    _, lnp = encode_batch(loaded.model, result.images)
-    nats = _nats_per_dim(lnp, loaded.model.code_size)
-
-    write_tensor(out / "interpolation.fstn", result.images)
-    write_image_strip(out / "interpolation.pgm", result.images[:, 0])
-    rows = [(float(a), nats[k]) for k, a in enumerate(result.alphas)]
+    z, _ = encode_batch(model, load([ia, ib]))
+    sweep = interpolate(model, z[0], z[1], alphas)
+    nats = _write_decoded(out, "interpolation", model, sweep.images)
+    rows = [(float(a), nats[k]) for k, a in enumerate(sweep.ts)]
     write_csv(
         out / "interpolation.csv",
         ["alpha", "nats_per_dim"],
@@ -437,59 +435,41 @@ def cmd_interpolate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     )
     _info(
         f"interpolate: {args.a} -> {args.b}, "
-        f"{len(result.alphas)} points in [{alphas[0]:g}, {alphas[-1]:g}]"
+        f"{len(sweep.ts)} points in [{alphas[0]:g}, {alphas[-1]:g}]"
     )
     return EXIT_OK
 
 
 def cmd_denoise(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    corpus = _corpus_dir(args, out)
-    manifest = load_manifest(corpus)
-    loaded = load_checkpoint(_checkpoint_path(args, out))
+    manifest, load = _inputs(args, out)
+    model = _model(args, out)
     betas = parse_sweep(args.beta_sweep)
 
     pairs = manifest.clean_noisy_pairs()
     if not pairs:
         raise ValueError("corpus has no clean/noisy pairs (set data.noise_snr_db)")
-    train_utts = set(manifest.train_utterances)
-
-    def is_train(pair):
-        return manifest.entries[pair[0]].record.utterance_id in train_utts
-
-    fit_pairs = [p for p in pairs if is_train(p)] or pairs
+    train = set(manifest.train_indices())
+    fit_pairs = [p for p in pairs if p[0] in train] or pairs
 
     if args.utt is not None:
         target_noisy = _find_segment(manifest, args.utt, noisy=True)
         target_clean = _find_segment(manifest, args.utt, noisy=False)
     else:
-        held_out = [p for p in pairs if not is_train(p)]
+        held_out = [p for p in pairs if p[0] not in train]
         if not held_out:
             raise ValueError("no held-out noisy segment; pass --utt")
         target_clean, target_noisy = held_out[0]
 
-    with CorpusReader(corpus) as reader:
-        clean_px = reader.load([p[0] for p in fit_pairs])
-        noisy_px = reader.load([p[1] for p in fit_pairs])
-        target_px = reader.load([target_noisy, target_clean])
+    z_clean, _ = encode_batch(model, load([p[0] for p in fit_pairs]))
+    z_noisy, _ = encode_batch(model, load([p[1] for p in fit_pairs]))
+    xi = displacement(z_clean, z_noisy)
 
-    z_clean, _ = encode_batch(loaded.model, clean_px)
-    z_noisy, _ = encode_batch(loaded.model, noisy_px)
-    snr = manifest.config.get("noise_snr_db")
-    xi = noise_displacement(z_clean, z_noisy, snr_db=snr)
-
-    z_target, _ = encode_batch(loaded.model, target_px)
-    result = denoise(loaded.model, z_target[0], xi, betas)
-    _, lnp = encode_batch(loaded.model, result.images)
-    nats = _nats_per_dim(lnp, loaded.model.code_size)
-    mse = np.mean(
-        (result.images - target_px[1][None]) ** 2, axis=(1, 2, 3)
-    )
-
-    write_tensor(out / "denoised.fstn", result.images)
-    write_image_strip(out / "denoised.pgm", result.images[:, 0])
-    rows = [
-        (float(b), nats[k], float(mse[k])) for k, b in enumerate(result.betas)
-    ]
+    target_px = load([target_noisy, target_clean])
+    z_target, _ = encode_batch(model, target_px)
+    sweep = denoise(model, z_target[0], xi, betas)
+    nats = _write_decoded(out, "denoised", model, sweep.images)
+    mse = np.mean((sweep.images - target_px[1][None]) ** 2, axis=(1, 2, 3))
+    rows = [(float(b), nats[k], float(mse[k])) for k, b in enumerate(sweep.ts)]
     write_csv(
         out / "denoise.csv",
         ["beta", "nats_per_dim", "mse_to_clean"],
@@ -500,15 +480,14 @@ def cmd_denoise(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     utt = manifest.entries[target_noisy].record.utterance_id
     _info(
         f"denoise: {utt}, displacement over {len(fit_pairs)} pairs "
-        f"(norm {xi.norm:.4f}), best beta {result.betas[best]:g} "
+        f"(norm {np.linalg.norm(xi):.4f}), best beta {sweep.ts[best]:g} "
         f"(mse {mse[best]:.6f} vs {mse[0]:.6f} at beta 0)"
     )
     return EXIT_OK
 
 
 def cmd_lda(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    corpus = _corpus_dir(args, out)
-    manifest = load_manifest(corpus)
+    manifest, load = _inputs(args, out)
     split = set(_split_indices(manifest, args.split))
 
     def class_indices(value: str) -> list[int]:
@@ -522,14 +501,13 @@ def cmd_lda(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
     idx_a = class_indices(args.class_a)
     idx_b = class_indices(args.class_b)
-    with CorpusReader(corpus) as reader:
-        px_a = reader.load(idx_a)
-        px_b = reader.load(idx_b)
+    px_a = load(idx_a)
+    px_b = load(idx_b)
 
     if args.space == "code":
-        loaded = load_checkpoint(_checkpoint_path(args, out))
-        vec_a, _ = encode_batch(loaded.model, px_a)
-        vec_b, _ = encode_batch(loaded.model, px_b)
+        model = _model(args, out)
+        vec_a, _ = encode_batch(model, px_a)
+        vec_b, _ = encode_batch(model, px_b)
     else:
         vec_a = px_a.reshape(px_a.shape[0], -1)
         vec_b = px_b.reshape(px_b.shape[0], -1)
@@ -568,14 +546,10 @@ def cmd_lda(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_gauss_report(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    corpus = _corpus_dir(args, out)
-    manifest = load_manifest(corpus)
-    loaded = load_checkpoint(_checkpoint_path(args, out))
-    indices = _split_indices(manifest, args.split)
-    with CorpusReader(corpus) as reader:
-        pixels = reader.load(indices)
-
-    codes, _ = encode_batch(loaded.model, pixels)
+    manifest, load = _inputs(args, out)
+    model = _model(args, out)
+    pixels = load(_split_indices(manifest, args.split))
+    codes, _ = encode_batch(model, pixels)
     flat_px = pixels.reshape(pixels.shape[0], -1)
     rng = Rng(cfg.seed)
 

@@ -160,15 +160,22 @@ class Manifest:
         return out
 
     def clean_noisy_pairs(self) -> list[tuple[int, int]]:
-        """Indices of (clean, noisy-twin) records paired by utterance id."""
-        clean = {}
+        """Indices of (clean, noisy-twin) records.
+
+        Each noisy twin is the entry right after its clean sibling, in the
+        order `build_corpus` writes.  One real utterance can hold several
+        vowel segments under one id, so the pairing is by position.
+        """
         pairs = []
         for i, e in enumerate(self.entries):
             if e.record.noise_snr_db is None:
-                clean[e.record.utterance_id] = i
-        for i, e in enumerate(self.entries):
-            if e.record.noise_snr_db is not None and e.record.utterance_id in clean:
-                pairs.append((clean[e.record.utterance_id], i))
+                continue
+            if i == 0 or self.entries[i - 1].record != replace(e.record, noise_snr_db=None):
+                raise ValueError(
+                    f"manifest.jsonl, line {i + 1}: noisy {e.record.utterance_id} "
+                    f"/{e.record.vowel}/ does not follow its clean sibling"
+                )
+            pairs.append((i - 1, i))
         return pairs
 
 

@@ -2,9 +2,10 @@
 
 Everything here treats the flow as a fixed bijection: codes are
 encoded, manipulated with plain vector arithmetic, and decoded back to
-spectrogram pixels.  Includes Gaussianity diagnostics of encoded
-corpora, mean-displacement denoising, linear interpolation sweeps and a
-two-direction LDA probe of class structure.
+spectrogram pixels.  Interpolation and mean-displacement denoising
+are both sweeps: each decodes one line of codes and returns a `Sweep`.
+Also Gaussianity diagnostics of encoded corpora and a two-direction LDA
+probe of class structure.
 """
 
 from __future__ import annotations
@@ -88,121 +89,75 @@ def sample(
 
 
 # ---------------------------------------------------------------------------
-# interpolation
+# sweeps: interpolation and displacement denoising
 
 
 @dataclass
-class InterpolationResult:
-    alphas: np.ndarray
+class Sweep:
+    """Codes decoded along a one-parameter sweep, one row per t."""
+
+    ts: np.ndarray
     codes: np.ndarray
     images: np.ndarray
 
 
-def interpolate(
-    model: FlowModel,
-    code_a: np.ndarray,
-    code_b: np.ndarray,
-    alphas=None,
-) -> InterpolationResult:
+def _code(model: FlowModel, z, name: str) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64).reshape(-1)
+    if z.shape != (model.code_size,):
+        raise ShapeError(f"{name} must have length {model.code_size}, got {z.shape}")
+    return z
+
+
+def interpolate(model: FlowModel, code_a, code_b, alphas=None) -> Sweep:
     """Decode z = (1 - alpha) z_a + alpha z_b over the weight sweep.
 
     The default sweep runs alpha from 0.1 to 0.9 in steps of 0.1,
-    excluding both endpoints.
+    excluding both endpoints.  Alpha 0 and 1 give z_a and z_b exactly,
+    which the walk z_a + alpha (z_b - z_a) would not.
     """
-    za = np.asarray(code_a, dtype=np.float64).reshape(-1)
-    zb = np.asarray(code_b, dtype=np.float64).reshape(-1)
-    if za.shape != zb.shape or za.shape != (model.code_size,):
-        raise ShapeError(
-            f"codes must both have length {model.code_size}, "
-            f"got {za.shape} and {zb.shape}"
-        )
-    alphas = np.asarray(
-        DEFAULT_INTERP_ALPHAS if alphas is None else alphas, dtype=np.float64
-    )
-    codes = (1.0 - alphas)[:, None] * za[None, :] + alphas[:, None] * zb[None, :]
-    return InterpolationResult(
-        alphas=alphas, codes=codes, images=decode_batch(model, codes)
-    )
+    za = _code(model, code_a, "code_a")
+    zb = _code(model, code_b, "code_b")
+    t = np.asarray(DEFAULT_INTERP_ALPHAS if alphas is None else alphas, dtype=np.float64)
+    codes = (1.0 - t[:, None]) * za + t[:, None] * zb
+    return Sweep(ts=t, codes=codes, images=decode_batch(model, codes))
 
 
-# ---------------------------------------------------------------------------
-# displacement denoising
+def displacement(z_from: np.ndarray, z_to: np.ndarray) -> np.ndarray:
+    """mean(z_to) - mean(z_from): the offset between two code populations.
 
-
-@dataclass
-class DisplacementVector:
-    """Mean latent offset from clean codes to their noisy counterparts."""
-
-    vector: np.ndarray
-    n_clean: int
-    n_noisy: int
-    snr_db: float | None = None
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
-
-def noise_displacement(
-    z_clean: np.ndarray, z_noisy: np.ndarray, snr_db: float | None = None
-) -> DisplacementVector:
-    """xi = mean(noisy codes) - mean(clean codes).
-
-    The two sets must share the code dimension but may differ in size;
-    both must be non-empty.
+    Clean to noisy codes give the noise displacement xi that `denoise`
+    subtracts; two classes give the direction from one to the other.
+    The sets must share the code dimension but may differ in size; both
+    must be non-empty.
     """
-    z_clean = np.asarray(z_clean, dtype=np.float64)
-    z_noisy = np.asarray(z_noisy, dtype=np.float64)
+    z_from = np.asarray(z_from, dtype=np.float64)
+    z_to = np.asarray(z_to, dtype=np.float64)
     if (
-        z_clean.ndim != 2
-        or z_noisy.ndim != 2
-        or z_clean.shape[1] != z_noisy.shape[1]
-        or z_clean.shape[0] < 1
-        or z_noisy.shape[0] < 1
+        z_from.ndim != 2
+        or z_to.ndim != 2
+        or z_from.shape[1] != z_to.shape[1]
+        or z_from.shape[0] < 1
+        or z_to.shape[0] < 1
     ):
         raise ShapeError(
             f"need non-empty (N, d) arrays of equal d, "
-            f"got {z_clean.shape} and {z_noisy.shape}"
+            f"got {z_from.shape} and {z_to.shape}"
         )
-    vector = z_noisy.mean(axis=0) - z_clean.mean(axis=0)
-    return DisplacementVector(
-        vector=vector,
-        n_clean=z_clean.shape[0],
-        n_noisy=z_noisy.shape[0],
-        snr_db=snr_db,
-    )
+    return z_to.mean(axis=0) - z_from.mean(axis=0)
 
 
-@dataclass
-class DenoiseResult:
-    betas: np.ndarray
-    codes: np.ndarray
-    images: np.ndarray
-
-
-def denoise(
-    model: FlowModel,
-    code_noisy: np.ndarray,
-    displacement: DisplacementVector,
-    betas=None,
-) -> DenoiseResult:
-    """Decode z = z_noisy - beta * xi for each beta in the sweep.
+def denoise(model: FlowModel, code_noisy, xi, betas=None) -> Sweep:
+    """Decode z = z_noisy - beta * xi for each beta in the sweep, where xi
+    is the clean-to-noisy `displacement`.
 
     The default sweep runs beta from 0.0 to 0.8 in steps of 0.1; beta 0
     reproduces the noisy input exactly.
     """
-    zn = np.asarray(code_noisy, dtype=np.float64).reshape(-1)
-    if zn.shape != (model.code_size,):
-        raise ShapeError(f"code must have length {model.code_size}, got {zn.shape}")
-    if displacement.vector.shape != zn.shape:
-        raise ShapeError(
-            f"displacement length {displacement.vector.shape} does not match code"
-        )
-    betas = np.asarray(
-        DEFAULT_DENOISE_BETAS if betas is None else betas, dtype=np.float64
-    )
-    codes = zn[None, :] - betas[:, None] * displacement.vector[None, :]
-    return DenoiseResult(betas=betas, codes=codes, images=decode_batch(model, codes))
+    zn = _code(model, code_noisy, "code")
+    xi = _code(model, xi, "displacement")
+    t = np.asarray(DEFAULT_DENOISE_BETAS if betas is None else betas, dtype=np.float64)
+    codes = zn - t[:, None] * xi
+    return Sweep(ts=t, codes=codes, images=decode_batch(model, codes))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import FlowConfig, FlowModel, NonFiniteError, prior_logprob
+from .flow import AffineCoupling, FlowConfig, FlowModel, NonFiniteError, prior_logprob
 from .latent import encode_batch
 from .numerics import Rng, read_exact, read_tensor_from, write_tensor_to
 
@@ -451,6 +451,20 @@ class GradAuditReport:
         return out
 
 
+def _loss_and_masks(model: FlowModel, batch: np.ndarray) -> tuple[float, list]:
+    """`nll` loss and every coupling net's ReLU masks, from one forward."""
+    parts, logdet, cache = model.forward(batch, want_cache=True)
+    lnp = prior_logprob(model.flatten_parts(parts)) + logdet
+    masks = [
+        layer_cache[key] > 0
+        for level, level_cache in zip(model.layers, cache)
+        for (_, layer), layer_cache in zip(level, level_cache)
+        if isinstance(layer, AffineCoupling)
+        for key in ("h1", "h2")
+    ]
+    return -float(np.mean(lnp)) / model.code_size, masks
+
+
 def grad_audit(
     model: FlowModel,
     batch: np.ndarray,
@@ -464,6 +478,11 @@ def grad_audit(
     batch size times dimension) so the relative-error floor is not
     dominated by the tiny per-dim gradients.  The report never raises
     on a failed tolerance; callers decide what to do with it.
+
+    A central difference is only a reference where the loss is smooth
+    over [-h, +h].  When the two evaluations see different coupling ReLU
+    masks (a kink lies between them), the entry is probed again at h/10,
+    then at h/100.
     """
     if h <= 0:
         raise ValueError("finite-difference step h must be positive")
@@ -482,14 +501,17 @@ def grad_audit(
         flat = arr.reshape(-1)
         for pos in flat_positions:
             keep = flat[pos]
-            flat[pos] = keep + h
-            lp = nll(model, batch)[0]
-            flat[pos] = keep - h
-            lm = nll(model, batch)[0]
+            for step in (h, h / 10, h / 100):
+                flat[pos] = keep + step
+                lp, masks_p = _loss_and_masks(model, batch)
+                flat[pos] = keep - step
+                lm, masks_m = _loss_and_masks(model, batch)
+                if all(np.array_equal(a, b) for a, b in zip(masks_p, masks_m)):
+                    break
             flat[pos] = keep
-            numeric = (lp - lm) / (2.0 * h) * scale
+            numeric = (lp - lm) / (2.0 * step) * scale
             analytic = float(grads[name].reshape(-1)[pos]) * scale
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
-            idx = tuple(np.unravel_index(pos, arr.shape))
+            idx = tuple(int(i) for i in np.unravel_index(pos, arr.shape))
             report.entries.append(GradAuditEntry(name, idx, analytic, numeric, rel))
     return report

@@ -18,11 +18,11 @@ from vowelflow.dataset import CorpusReader, load_manifest
 from vowelflow.flow import FlowConfig
 from vowelflow.latent import (
     denoise,
+    displacement,
     encode_batch,
     gaussianity_report,
     interpolate,
     lda_fit,
-    noise_displacement,
     sample,
 )
 from vowelflow.numerics import Rng, read_tensor
@@ -208,7 +208,7 @@ class TestAcceptance:
         sweep = interpolate(model, z[0], z[1])
         nine = sweep.images.shape[0] == 9
         finite = bool(np.isfinite(sweep.images).all())
-        assert_allclose(sweep.alphas, np.linspace(0.1, 0.9, 9), atol=1e-12)
+        assert_allclose(sweep.ts, np.linspace(0.1, 0.9, 9), atol=1e-12)
 
         ends = interpolate(model, z[0], z[1], alphas=[0.0, 1.0])
         assert_array_equal(ends.codes[0], z[0])
@@ -245,7 +245,7 @@ class TestAcceptance:
             with CorpusReader(run_dir) as reader:
                 z_clean, _ = encode_batch(model, reader.load([p[0] for p in fit]))
                 z_noisy, _ = encode_batch(model, reader.load([p[1] for p in fit]))
-                xi = noise_displacement(z_clean, z_noisy, snr_db=10.0)
+                xi = displacement(z_clean, z_noisy)
                 per_beta = []
                 for clean_i, noisy_i in held:
                     clean_px = reader.pixels(clean_i)

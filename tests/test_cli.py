@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vowelflow import train
 from vowelflow.cli import (
     _SCHEMA,
     EXIT_OK,
@@ -20,8 +21,11 @@ from vowelflow.cli import (
     main,
     parse_sweep,
 )
+from vowelflow.dataset import load_manifest
+from vowelflow.latent import DEFAULT_DENOISE_BETAS, DEFAULT_INTERP_ALPHAS, encode_batch
 from vowelflow.numerics import Rng, read_tensor
-from vowelflow.signal import read_wav, synth_vowel, write_wav
+from vowelflow.signal import Waveform, read_wav, synth_vowel, write_wav
+from vowelflow.train import load_checkpoint
 
 # Tiny but complete setup: 2 speakers x 5 vowels x 3 draws with 10 dB noisy
 # twins, 16x16 images, a 2-level flow, and a 12-step training run.
@@ -179,6 +183,26 @@ class TestExitCodes:
         assert rc == EXIT_RUNTIME
         assert f"{speaker / 'sx1.wav'}: {message}" in capsys.readouterr().err
 
+    def test_prepare_pairs_each_noisy_segment_with_its_clean_sibling(self, tmp_path):
+        # one utterance holding two vowel segments under one id
+        speaker = tmp_path / "timit" / "dr1" / "MABC0"
+        speaker.mkdir(parents=True)
+        aa = synth_vowel(Rng(1), "aa", 120.0, 0.2)
+        iy = synth_vowel(Rng(2), "iy", 130.0, 0.2)
+        write_wav(speaker / "sx1.wav", Waveform(np.concatenate([aa.samples, iy.samples])))
+        n, m = len(aa.samples), len(aa.samples) + len(iy.samples)
+        (speaker / "sx1.phn").write_text(f"0 {n} aa\n{n} {m} iy\n")
+        out = tmp_path / "out"
+        rc = main(["--data.noise_snr_db", "10", "--out-dir", str(out), "prepare",
+                   "--corpus-root", str(tmp_path / "timit")])
+        assert rc == EXIT_OK
+        manifest = load_manifest(out)
+        pairs = manifest.clean_noisy_pairs()
+        assert pairs == [(0, 1), (2, 3)]
+        for ci, ni in pairs:
+            clean, noisy = manifest.entries[ci].record, manifest.entries[ni].record
+            assert (clean.vowel, clean.noise_snr_db) == (noisy.vowel, None)
+
     def test_missing_corpus_is_runtime_error(self, tmp_path, capsys):
         assert run(tmp_path / "empty", "train") == EXIT_RUNTIME
         assert "error" in capsys.readouterr().err.lower()
@@ -209,6 +233,26 @@ class TestExitCodes:
         rc = run(tmp_path, "grad-audit", "--tolerance", "1e-14")
         assert rc == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 5])
+    def test_grad_audit_passes_across_relu_kinks(self, seed, capsys):
+        # the desk model at these seeds has probes whose +-h evaluations
+        # straddle a coupling ReLU kink
+        assert main(["--seed", str(seed), "grad-audit", "--tolerance", "1e-4"]) == EXIT_OK
+        worst = capsys.readouterr().err.strip().rsplit(" at ", 1)[1]
+        assert re.fullmatch(r"[\w.]+\[\d+(, \d+)*\]", worst), worst
+
+    def test_grad_audit_still_fails_a_wrong_gradient(self, monkeypatch, capsys):
+        true_loss_and_grads = train.loss_and_grads
+
+        def off_by_a_tenth_of_a_percent(model, batch, init_actnorm=False):
+            loss, grads = true_loss_and_grads(model, batch, init_actnorm)
+            grads["level0.step0.coupling.w1"] *= 1.001
+            return loss, grads
+
+        monkeypatch.setattr(train, "loss_and_grads", off_by_a_tenth_of_a_percent)
+        assert main(["--seed", "2", "grad-audit", "--tolerance", "1e-4"]) == EXIT_RUNTIME
+        assert "FAILED" in capsys.readouterr().err
+
     def test_unknown_utterance_is_runtime_error(self, pipeline):
         rc = run(pipeline, "interpolate", "--a", "nope", "--b", "spk00_aa_000")
         assert rc == EXIT_RUNTIME
@@ -224,6 +268,13 @@ class TestSweepParsing:
 
     def test_beta_sweep_has_nine_points(self):
         assert_allclose(parse_sweep("0:0.8:0.1"), np.linspace(0.0, 0.8, 9))
+
+    def test_default_sweeps_equal_latent_defaults(self):
+        parser = build_parser()
+        alphas = parser.parse_args(["interpolate", "--a", "x", "--b", "y"]).alphas
+        betas = parser.parse_args(["denoise"]).beta_sweep
+        assert parse_sweep(alphas).tobytes() == np.array(DEFAULT_INTERP_ALPHAS).tobytes()
+        assert parse_sweep(betas).tobytes() == np.array(DEFAULT_DENOISE_BETAS).tobytes()
 
     def test_single_value(self):
         assert_allclose(parse_sweep("0.45"), [0.45])
@@ -401,6 +452,25 @@ class TestArtifacts:
         rows = (pipeline / "denoise.csv").read_text().splitlines()[2:]
         betas = [float(r.split(",")[0]) for r in rows]
         assert_allclose(betas, np.linspace(0.0, 0.8, 9), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv, stem, table",
+        [
+            (["sample", "--n", "4"], "samples", "samples.csv"),
+            (["interpolate", "--a", "spk00_aa_000", "--b", "spk01_ae_001"],
+             "interpolation", "interpolation.csv"),
+            (["denoise"], "denoised", "denoise.csv"),
+        ],
+    )
+    def test_nats_column_scores_the_written_images(self, pipeline, argv, stem, table):
+        assert run(pipeline, *argv) == EXIT_OK
+        model = load_checkpoint(pipeline / "checkpoint.fsck").model
+        _, lnp = encode_batch(model, read_tensor(pipeline / f"{stem}.fstn"))
+        lines = (pipeline / table).read_text().splitlines()
+        column = lines[1].split(",").index("nats_per_dim")
+        assert [row.split(",")[column] for row in lines[2:]] == [
+            f"{v:.10g}" for v in -lnp / model.code_size
+        ]
 
     def test_lda_artifacts(self, pipeline):
         rc = run(

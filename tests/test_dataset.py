@@ -228,6 +228,22 @@ class TestBuildCorpus:
             assert c.utterance_id == n.utterance_id
             assert c.noise_snr_db is None and n.noise_snr_db == 10.0
 
+    def test_pairs_by_position_equal_pairs_by_id_on_unique_ids(self, tmp_path):
+        manifest = build_corpus(
+            SyntheticSpec(n_speakers=2, draws_per_vowel=2),
+            DatasetConfig(image_size=32, noise_snr_db=10.0),
+            Rng(42),
+            tmp_path,
+        )
+        records = [e.record for e in manifest.entries]
+        clean = {r.utterance_id: i for i, r in enumerate(records) if r.noise_snr_db is None}
+        by_id = [
+            (clean[r.utterance_id], i)
+            for i, r in enumerate(records)
+            if r.noise_snr_db is not None
+        ]
+        assert manifest.clean_noisy_pairs() == by_id
+
     def test_manifest_round_trip(self, small_corpus):
         out, manifest = small_corpus
         loaded = load_manifest(out)
@@ -374,6 +390,17 @@ class TestManifestInvariants:
         ]
         with pytest.raises(ValueError):
             Manifest(entries, stats=(0.0, 1.0), config={}, train_utterances=[])
+
+    def test_noisy_entry_must_follow_its_clean_sibling(self):
+        aa, iy = rec_for("u", end=10), rec_for("u", end=10, vowel="iy")
+        noisy_aa = SegmentRecord("u", "spkT", "M", "aa", 0, 10, noise_snr_db=10.0)
+        entries = [
+            ManifestEntry(rec, valid_frames=10, offset=k)
+            for k, rec in enumerate((aa, iy, noisy_aa))
+        ]
+        manifest = Manifest(entries, stats=(0.0, 1.0), config={}, train_utterances=[])
+        with pytest.raises(ValueError, match=r"manifest\.jsonl, line 3: noisy u /aa/"):
+            manifest.clean_noisy_pairs()
 
     def test_rejects_bad_stats(self):
         with pytest.raises(ValueError):

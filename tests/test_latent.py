@@ -18,16 +18,15 @@ from vowelflow.latent import (
     DEFAULT_DENOISE_BETAS,
     DEFAULT_INTERP_ALPHAS,
     DegenerateProbeError,
-    DisplacementVector,
     chunk_rows,
     decode_batch,
     denoise,
+    displacement,
     encode_batch,
     fisher_ratio,
     gaussianity_report,
     interpolate,
     lda_fit,
-    noise_displacement,
     project_scatter,
     sample,
     scatter_pair,
@@ -170,7 +169,7 @@ class TestInterpolate:
         zb = Rng(9).standard_normal(16)
         res = interpolate(model, za, zb)
         assert res.codes.shape == (9, 16) and res.images.shape == (9, 1, 4, 4)
-        for alpha, code in zip(res.alphas, res.codes):
+        for alpha, code in zip(res.ts, res.codes):
             npt.assert_allclose(code, (1 - alpha) * za + alpha * zb, rtol=1e-12)
 
     def test_identity_model_blends_pixels(self):
@@ -179,7 +178,7 @@ class TestInterpolate:
         zb = Rng(11).standard_normal(16)
         res = interpolate(model, za, zb)
         xa, xb = decode_batch(model, za), decode_batch(model, zb)
-        for alpha, img in zip(res.alphas, res.images):
+        for alpha, img in zip(res.ts, res.images):
             npt.assert_allclose(img, (1 - alpha) * xa + alpha * xb, rtol=1e-12)
 
     def test_custom_alphas(self):
@@ -229,45 +228,42 @@ class TestDisplacement:
     def test_hand_computed_mean_offset(self):
         clean = np.array([[0.0, 0.0], [2.0, 0.0]])
         noisy = np.array([[1.0, 1.0], [3.0, 1.0]])
-        disp = noise_displacement(clean, noisy, snr_db=10.0)
-        npt.assert_allclose(disp.vector, [1.0, 1.0], rtol=1e-15)
-        assert (disp.n_clean, disp.n_noisy, disp.snr_db) == (2, 2, 10.0)
-        npt.assert_allclose(disp.norm, math.sqrt(2.0), rtol=1e-15)
+        disp = displacement(clean, noisy)
+        npt.assert_allclose(disp, [1.0, 1.0], rtol=1e-15)
 
     def test_identical_sets_give_zero(self):
         z = Rng(29).standard_normal((5, 4))
-        npt.assert_allclose(noise_displacement(z, z.copy()).vector, 0.0, atol=1e-15)
+        npt.assert_allclose(displacement(z, z.copy()), 0.0, atol=1e-15)
 
     def test_permutation_invariant(self):
         z_c = Rng(30).standard_normal((6, 3))
         z_n = Rng(31).standard_normal((4, 3))
-        d1 = noise_displacement(z_c, z_n)
-        d2 = noise_displacement(z_c[::-1], z_n[::-1])
-        npt.assert_allclose(d1.vector, d2.vector, rtol=1e-12)
-        assert (d1.n_clean, d1.n_noisy) == (6, 4)
+        d1 = displacement(z_c, z_n)
+        d2 = displacement(z_c[::-1], z_n[::-1])
+        npt.assert_allclose(d1, d2, rtol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            noise_displacement(np.zeros((2, 3)), np.zeros((3, 4)))
+            displacement(np.zeros((2, 3)), np.zeros((3, 4)))
         with pytest.raises(ShapeError):
-            noise_displacement(np.zeros((0, 3)), np.zeros((2, 3)))
+            displacement(np.zeros((0, 3)), np.zeros((2, 3)))
 
 
 class TestDenoise:
     def test_default_sweep_and_formula(self):
         model = make_identity_model(tiny_config())
         zn = Rng(12).standard_normal(16)
-        xi = DisplacementVector(Rng(13).standard_normal(16), n_clean=5, n_noisy=5)
+        xi = Rng(13).standard_normal(16)
         res = denoise(model, zn, xi)
-        npt.assert_allclose(res.betas, DEFAULT_DENOISE_BETAS, rtol=1e-15)
-        npt.assert_allclose(res.betas, np.arange(9) / 10.0, atol=1e-12)
-        for beta, code in zip(res.betas, res.codes):
-            npt.assert_allclose(code, zn - beta * xi.vector, rtol=1e-12, atol=1e-15)
+        npt.assert_allclose(res.ts, DEFAULT_DENOISE_BETAS, rtol=1e-15)
+        npt.assert_allclose(res.ts, np.arange(9) / 10.0, atol=1e-12)
+        for beta, code in zip(res.ts, res.codes):
+            npt.assert_allclose(code, zn - beta * xi, rtol=1e-12, atol=1e-15)
 
     def test_zero_beta_reproduces_input(self):
         model = make_identity_model(tiny_config())
         zn = Rng(14).standard_normal(16)
-        xi = DisplacementVector(np.ones(16), n_clean=1, n_noisy=1)
+        xi = np.ones(16)
         res = denoise(model, zn, xi)
         npt.assert_array_equal(res.codes[0], zn)
         npt.assert_array_equal(res.images[0], decode_batch(model, zn))
@@ -276,7 +272,7 @@ class TestDenoise:
         model = make_identity_model(tiny_config())
         zn = np.full(16, 3.0)
         zn[1] = 1.0
-        xi = DisplacementVector(np.ones(16), n_clean=2, n_noisy=2)
+        xi = np.ones(16)
         res = denoise(model, zn, xi, betas=[1.0])
         expected = zn - 1.0
         npt.assert_allclose(res.codes[0], expected, rtol=1e-15)
@@ -284,13 +280,13 @@ class TestDenoise:
     def test_linear_in_beta(self):
         model = make_identity_model(tiny_config())
         zn = Rng(15).standard_normal(16)
-        xi = DisplacementVector(Rng(16).standard_normal(16), n_clean=3, n_noisy=3)
+        xi = Rng(16).standard_normal(16)
         res = denoise(model, zn, xi, betas=[0.2, 0.4])
         npt.assert_allclose(res.codes[1] - zn, 2.0 * (res.codes[0] - zn), rtol=1e-12)
 
     def test_mismatched_displacement_rejected(self):
         model = make_identity_model(tiny_config())
-        xi = DisplacementVector(np.ones(8), n_clean=1, n_noisy=1)
+        xi = np.ones(8)
         with pytest.raises(ShapeError):
             denoise(model, np.zeros(16), xi)
 
