@@ -4,8 +4,10 @@ From spectrogram image back to audio
 
 A 32x32 model image is a pooled, normalized log-magnitude spectrogram;
 turning one back into sound needs the inverse of each step plus a phase.
-The phase is borrowed from a real recording (magnitude-only inversion).
-Run 01_train_flow.py first.
+The phase is borrowed from a real recording (magnitude-only inversion):
+`image_to_waveform` upsamples the image, undoes the normalization and
+overlap-adds it on the STFT frames of that recording, exactly as
+`vowelflow reconstruct` does.  Run 01_train_flow.py first.
 """
 
 import sys
@@ -19,10 +21,9 @@ from vowelflow import (
     load_manifest,
     read_wav,
     stft,
-    istft_phase_borrow,
     write_wav,
 )
-from vowelflow.dataset import STFT, image_to_magnitude
+from vowelflow.dataset import image_to_waveform, wav_path
 
 out = Path(__file__).parent / "out"
 if not (out / "checkpoint.fsck").exists():
@@ -33,22 +34,17 @@ utts = {e.record.utterance_id: i for i, e in enumerate(manifest.entries)}
 
 
 def to_waveform(image, phase_utt, name):
-    """Upsample a pooled image, undo normalization, and overlap-add."""
-    mag = image_to_magnitude(image, manifest.stats)
-    with CorpusReader(out) as reader:
-        wave = read_wav(reader.wav_path(utts[phase_utt]))
-    phase = stft(wave, STFT.window_len, STFT.hop, STFT.fft_size)
-    frames = phase.frames.shape[0]
-    audio = istft_phase_borrow(mag[:frames], phase, STFT.window_len, STFT.hop,
-                               sample_rate=wave.sample_rate)
+    """Render `image` on the phase of segment `phase_utt`'s stored audio."""
+    phase = stft(read_wav(wav_path(out, utts[phase_utt])))
+    audio = image_to_waveform(image, manifest.stats, phase)
     write_wav(out / name, audio)
     print(f"wrote {name}: {len(audio.samples)} samples "
-          f"at {audio.sample_rate} Hz from {frames} frames")
+          f"at {audio.sample_rate} Hz from {phase.shape[0]} frames")
 
 
 # First the identity check: a segment's own image carried on its own
 # phase should sound like the original (minus pooling loss).
-with CorpusReader(out) as reader:
+with CorpusReader(out, manifest) as reader:
     aa = reader.pixels(utts["spk00_aa_000"])
 to_waveform(aa[0], "spk00_aa_000", "recon_aa.wav")
 
@@ -56,7 +52,7 @@ to_waveform(aa[0], "spk00_aa_000", "recon_aa.wav")
 # by the flow (a one-point interpolation Sweep), rendered with the /aa/
 # segment's phase.
 model = load_checkpoint(out / "checkpoint.fsck").model
-with CorpusReader(out) as reader:
+with CorpusReader(out, manifest) as reader:
     pair = reader.load([utts["spk00_aa_000"], utts["spk00_ae_000"]])
 z, _ = encode_batch(model, pair)
 midpoint = interpolate(model, z[0], z[1], alphas=[0.5]).images[0, 0]

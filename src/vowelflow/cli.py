@@ -28,14 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
-    FULL_FRAMES,
-    STFT,
     CorpusReader,
     DatasetConfig,
     SyntheticSpec,
     build_corpus,
-    image_to_magnitude,
+    image_to_waveform,
     load_manifest,
+    wav_path,
 )
 from .flow import FlowConfig
 from .latent import (
@@ -52,7 +51,7 @@ from .latent import (
     write_image_strip,
 )
 from .numerics import Rng, read_tensor, write_tensor
-from .signal import istft_phase_borrow, read_wav, stft, write_wav
+from .signal import read_wav, stft, write_wav
 from .train import TrainConfig, build_model, grad_audit, load_checkpoint, train_loop
 
 EXIT_OK = 0
@@ -263,7 +262,7 @@ def _inputs(args: argparse.Namespace, out: Path):
     manifest = load_manifest(corpus)
 
     def load(indices) -> np.ndarray:
-        with CorpusReader(corpus) as reader:
+        with CorpusReader(corpus, manifest) as reader:
             return reader.load(indices)
 
     return manifest, load
@@ -613,46 +612,33 @@ def cmd_gauss_report(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int
 
 
 def cmd_reconstruct(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    corpus = _corpus_dir(args, out)
-    manifest = load_manifest(corpus)
+    manifest, load = _inputs(args, out)
     index = _find_segment(manifest, args.utt, noisy=args.noisy)
-
-    with CorpusReader(corpus) as reader:
-        wav_path = reader.wav_path(index)
-        if not wav_path.exists():
+    wav = wav_path(_corpus_dir(args, out), index)
+    if not wav.exists():
+        raise ValueError(
+            f"no waveform for {args.utt!r}; rebuild the corpus with "
+            "data.write_wavs true"
+        )
+    if args.from_ is not None:
+        stack = read_tensor(args.from_)
+        if not 0 <= args.index < stack.shape[0]:
             raise ValueError(
-                f"no waveform for {args.utt!r}; rebuild the corpus with "
-                "data.write_wavs true"
+                f"--index {args.index} out of range for {stack.shape[0]} images"
             )
-        if getattr(args, "from_", None) is not None:
-            stack = read_tensor(args.from_)
-            if not 0 <= args.index < stack.shape[0]:
-                raise ValueError(
-                    f"--index {args.index} out of range for {stack.shape[0]} images"
-                )
-            image = stack[args.index]
-        else:
-            image = reader.pixels(index)
+        image = stack[args.index]
+    else:
+        image = load([index])[0]
     image = np.asarray(image, dtype=np.float64)
     if image.ndim == 3:
         image = image[0]
 
-    mag = image_to_magnitude(image, manifest.stats)
-
-    waveform = read_wav(wav_path)
-    phase = stft(waveform, STFT.window_len, STFT.hop, STFT.fft_size)
-    frames = phase.frames.shape[0]
-    if frames > FULL_FRAMES:
-        raise ValueError(
-            f"phase source has {frames} frames; expected at most {FULL_FRAMES}"
-        )
-    audio = istft_phase_borrow(
-        mag[:frames], phase, STFT.window_len, STFT.hop, sample_rate=waveform.sample_rate
-    )
+    phase = stft(read_wav(wav))
+    audio = image_to_waveform(image, manifest.stats, phase)
     suffix = "_noisy" if args.noisy else ""
     target = out / f"recon_{args.utt}{suffix}.wav"
     write_wav(target, audio)
-    _info(f"reconstruct: {args.utt} -> {target} ({frames} frames)")
+    _info(f"reconstruct: {args.utt} -> {target} ({phase.shape[0]} frames)")
     return EXIT_OK
 
 

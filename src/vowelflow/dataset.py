@@ -7,6 +7,9 @@ A corpus directory holds three files:
   utt, spk, gender, vowel, valid_frames, offset, noise_snr_db;
 * ``corpus.json``    - normalization stats, config echo and the train split.
 
+With ``write_wavs`` it also holds ``wavs/<index>.wav``, the audio of the
+segment at that manifest index (`wav_path`).
+
 Records are ordered deterministically; a noisy twin (when noise
 augmentation is configured) immediately follows its clean sibling and
 shares its utterance id.
@@ -26,11 +29,12 @@ from .signal import (
     DEFAULT_SAMPLE_RATE,
     FORMANTS,
     MAG_FLOOR,
-    StftConfig,
+    STFT,
     VOWELS,
     Waveform,
     add_white_noise,
     denormalize,
+    istft_phase_borrow,
     log_normalize,
     read_wav,
     stft,
@@ -38,10 +42,9 @@ from .signal import (
     write_wav,
 )
 
-# The fixed spectrogram front end (16 kHz audio) and the image geometry it
-# implies: FULL_FRAMES time frames after padding, and as many frequency bands
-# after appending FREQ_ZERO_BANDS zero bands to the one-sided bins.
-STFT = StftConfig()
+# The image geometry that the fixed front end (`STFT`, 16 kHz audio) implies:
+# FULL_FRAMES time frames after padding, and as many frequency bands after
+# appending FREQ_ZERO_BANDS zero bands to the one-sided bins.
 FULL_FRAMES = 288
 FREQ_ZERO_BANDS = FULL_FRAMES - (STFT.fft_size // 2 + 1)
 
@@ -102,6 +105,10 @@ class DatasetConfig:
         if FULL_FRAMES % self.image_size != 0:
             raise ValueError(
                 f"image_size must divide {FULL_FRAMES}, got {self.image_size}"
+            )
+        if self.noise_snr_db is not None and not math.isfinite(self.noise_snr_db):
+            raise ValueError(
+                f"noise_snr_db must be finite (none means no noise), got {self.noise_snr_db}"
             )
 
 
@@ -273,6 +280,20 @@ def image_to_magnitude(image: np.ndarray, stats: tuple[float, float]) -> np.ndar
     return denormalize(big, stats)[:, : FULL_FRAMES - FREQ_ZERO_BANDS]
 
 
+def image_to_waveform(
+    image: np.ndarray, stats: tuple[float, float], phase: np.ndarray
+) -> Waveform:
+    """(S, S) normalized image -> audio, carried on `phase`'s frames.
+
+    `phase` is the (T, 257) `stft` of a recording, T <= FULL_FRAMES; the
+    image's first T frames of magnitude are overlap-added on its phase.
+    """
+    frames = phase.shape[0]
+    if frames > FULL_FRAMES:
+        raise ValueError(f"phase source has {frames} frames; expected at most {FULL_FRAMES}")
+    return istft_phase_borrow(image_to_magnitude(image, stats)[:frames], phase)
+
+
 def segment_to_spectrogram(
     w: Waveform,
     rec: SegmentRecord,
@@ -291,7 +312,7 @@ def segment_to_spectrogram(
             f"of {len(w.samples)} samples"
         )
     seg = Waveform(w.samples[rec.start_sample:rec.end_sample], w.sample_rate)
-    mag = stft(seg, STFT.window_len, STFT.hop, STFT.fft_size).magnitude
+    mag = np.abs(stft(seg))
     if mag.shape[0] > FULL_FRAMES:
         return None
     pixels = _magnitude_to_image(mag, stats, image_size)
@@ -418,7 +439,7 @@ def build_corpus(
             twin = replace(rec, noise_snr_db=config.noise_snr_db)
             variants.append((twin, add_white_noise(sliced, noise_rng, config.noise_snr_db)))
         for vrec, vwave in variants:
-            mag = stft(vwave, STFT.window_len, STFT.hop, STFT.fft_size).magnitude
+            mag = np.abs(stft(vwave))
             if mag.shape[0] <= FULL_FRAMES:  # longer segments are discarded
                 segments.append((vrec, vwave, mag))
 
@@ -456,17 +477,15 @@ def build_corpus(
     }
 
     entries = []
-    wav_dir = out_dir / "wavs"
     if config.write_wavs:
-        wav_dir.mkdir(exist_ok=True)
+        (out_dir / "wavs").mkdir(exist_ok=True)
     with open(out_dir / "corpus.fstn", "wb") as archive:
-        for rec, wave_seg, mag in segments:
+        for index, (rec, wave_seg, mag) in enumerate(segments):
             offset = archive.tell()
             write_tensor_to(archive, _magnitude_to_image(mag, stats, config.image_size))
             entries.append(ManifestEntry(record=rec, valid_frames=mag.shape[0], offset=offset))
             if config.write_wavs:
-                suffix = "noisy" if rec.noise_snr_db is not None else "clean"
-                write_wav(wav_dir / f"{rec.utterance_id}.{suffix}.wav", wave_seg)
+                write_wav(wav_path(out_dir, index), wave_seg)
 
     manifest = Manifest(
         entries=entries, stats=stats, config=config_echo, train_utterances=train_utts
@@ -541,12 +560,20 @@ def load_manifest(corpus_dir: str | Path) -> Manifest:
         raise ValueError(f"{path} with {header_path.name}: {exc}") from exc
 
 
-class CorpusReader:
-    """Random access to archived spectrograms via manifest offsets."""
+def wav_path(corpus_dir: str | Path, index: int) -> Path:
+    """Where `write_wavs` stores the audio of manifest entry `index`."""
+    return Path(corpus_dir) / "wavs" / f"{index}.wav"
 
-    def __init__(self, corpus_dir: str | Path):
+
+class CorpusReader:
+    """Random access to archived spectrograms via manifest offsets.
+
+    Pass the corpus's already loaded `manifest` to skip parsing it again.
+    """
+
+    def __init__(self, corpus_dir: str | Path, manifest: Manifest | None = None):
         self.dir = Path(corpus_dir)
-        self.manifest = load_manifest(self.dir)
+        self.manifest = load_manifest(self.dir) if manifest is None else manifest
         self._archive = open(self.dir / "corpus.fstn", "rb")
 
     def close(self):
@@ -570,8 +597,3 @@ class CorpusReader:
         if indices is None:
             indices = range(len(self.manifest.entries))
         return np.stack([self.pixels(i) for i in indices])
-
-    def wav_path(self, index: int) -> Path:
-        e = self.manifest.entries[index]
-        suffix = "noisy" if e.record.noise_snr_db is not None else "clean"
-        return self.dir / "wavs" / f"{e.record.utterance_id}.{suffix}.wav"

@@ -218,23 +218,20 @@ class AffineCoupling:
         return randn(rng, (out_ch, in_ch, 3, 3)) * math.sqrt(2.0 / (in_ch * 9))
 
     def _net(self, xa: np.ndarray) -> tuple[np.ndarray, ...]:
-        h1 = conv2d(xa, self.w1, self.b1)
-        a1 = np.maximum(h1, 0.0)
-        h2 = conv2d(a1, self.w2, self.b2)
-        a2 = np.maximum(h2, 0.0)
-        out = conv2d(a2, self.w3, self.b3)
-        return h1, a1, h2, a2, out
+        # the ReLU outputs double as their masks: a > 0 exactly where h > 0
+        a1 = np.maximum(conv2d(xa, self.w1, self.b1), 0.0)
+        a2 = np.maximum(conv2d(a1, self.w2, self.b2), 0.0)
+        return a1, a2, conv2d(a2, self.w3, self.b3)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         xa, xb = x[:, :self.half], x[:, self.half:]
-        h1, a1, h2, a2, out = self._net(xa)
+        a1, a2, out = self._net(xa)
         s_raw, t = out[:, :self.half], out[:, self.half:]
         th = np.tanh(s_raw)
         scale = np.exp(2.0 * th)
         y = np.concatenate([xa, xb * scale + t], axis=1)
         logdet = (2.0 * th).sum(axis=(1, 2, 3))
-        cache = {"xa": xa, "xb": xb, "h1": h1, "a1": a1, "h2": h2, "a2": a2,
-                 "th": th, "scale": scale}
+        cache = {"xa": xa, "xb": xb, "a1": a1, "a2": a2, "th": th, "scale": scale}
         return y, logdet, cache
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
@@ -259,9 +256,9 @@ class AffineCoupling:
         grad_out = np.concatenate([grad_sraw, grad_t], axis=1)
 
         grad_a2, gw3, gb3 = conv2d_backward(grad_out, cache["a2"], self.w3)
-        grad_h2 = grad_a2 * (cache["h2"] > 0)
+        grad_h2 = grad_a2 * (cache["a2"] > 0)
         grad_a1, gw2, gb2 = conv2d_backward(grad_h2, cache["a1"], self.w2)
-        grad_h1 = grad_a1 * (cache["h1"] > 0)
+        grad_h1 = grad_a1 * (cache["a1"] > 0)
         grad_xa_net, gw1, gb1 = conv2d_backward(grad_h1, xa, self.w1)
 
         grad_x = np.concatenate([grad_ya + grad_xa_net, grad_xb], axis=1)

@@ -1,9 +1,9 @@
 """Waveform I/O, STFT analysis/resynthesis, and a synthetic vowel generator.
 
-The STFT convention: Hann-analysis frames of `window_len` samples taken
-every `hop` samples, zero-padded to `fft_size` and transformed one-sided,
-so a frame has fft_size/2 + 1 bins.  Resynthesis is overlap-add with a
-Hann synthesis window and squared-window normalization.
+The front end is fixed (`STFT`, 16 kHz audio): Hann-analysis frames of
+400 samples (25 ms) taken every 16 samples (1 ms), zero-padded to 512 and
+transformed one-sided, so a frame has 257 bins.  Resynthesis is
+overlap-add with a Hann synthesis window and squared-window normalization.
 """
 
 from __future__ import annotations
@@ -51,26 +51,15 @@ class Waveform:
 
 
 @dataclass
-class ComplexStft:
-    """One-sided STFT: frames is a (T, F) complex matrix with F = fft_size/2 + 1."""
-
-    frames: np.ndarray
-    window_len: int
-    hop: int
-    fft_size: int
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.frames)
-
-
-@dataclass
 class StftConfig:
-    """STFT settings in samples; `dataset.STFT` is the pipeline's fixed instance."""
+    """STFT settings in samples; `STFT` is the pipeline's one instance."""
 
     window_len: int = 400  # 25 ms at 16 kHz
     hop: int = 16  # 1 ms
     fft_size: int = 512  # 257 one-sided bins
+
+
+STFT = StftConfig()
 
 
 def frame_count(n_samples: int, window_len: int, hop: int) -> int:
@@ -127,50 +116,37 @@ def write_wav(path, w: Waveform) -> None:
 # STFT / inverse
 
 
-def stft(w: Waveform, window_len: int, hop: int, fft_size: int) -> ComplexStft:
-    """Hann-windowed one-sided STFT."""
-    if window_len < 1 or hop < 1:
-        raise ValueError(f"window_len and hop must be positive, got {window_len} and {hop}")
-    if fft_size < window_len:
-        raise ValueError(f"fft_size {fft_size} shorter than window {window_len}")
-    frame_count(len(w.samples), window_len, hop)  # rejects input shorter than a window
+def stft(w: Waveform) -> np.ndarray:
+    """Hann-windowed one-sided STFT: (T, 257) complex frames."""
+    frame_count(len(w.samples), STFT.window_len, STFT.hop)  # rejects input shorter than a window
     # a strided view of the frames: no index array, no gathered copy
-    windows = np.lib.stride_tricks.sliding_window_view(w.samples, window_len)[::hop]
-    frames = windows * _hann(window_len)[None, :]
-    spec = np.fft.rfft(frames, n=fft_size, axis=1)
-    return ComplexStft(frames=spec, window_len=window_len, hop=hop, fft_size=fft_size)
+    windows = np.lib.stride_tricks.sliding_window_view(w.samples, STFT.window_len)[::STFT.hop]
+    frames = windows * _hann(STFT.window_len)[None, :]
+    return np.fft.rfft(frames, n=STFT.fft_size, axis=1)
 
 
-def istft_phase_borrow(
-    mag: np.ndarray,
-    phase_source: ComplexStft,
-    window_len: int,
-    hop: int,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
-) -> Waveform:
-    """Overlap-add resynthesis of `mag` carried on `phase_source`'s phase.
+def istft_phase_borrow(mag: np.ndarray, phase: np.ndarray) -> Waveform:
+    """Overlap-add resynthesis of `mag` carried on the phase of `phase`.
 
-    Each frame is mag[t] * exp(i * arg(phase_source.frames[t])); the
-    synthesis window is Hann, and the output is normalized by the sum
-    of squared windows (floored at 1e-8 where coverage is thin).
+    `phase` is a (T, 257) complex `stft` result; each frame is
+    mag[t] * exp(i * arg(phase[t])).  The synthesis window is Hann, and
+    the output is normalized by the sum of squared windows (floored at
+    1e-8 where coverage is thin).
     """
     mag = np.asarray(mag, dtype=np.float64)
-    if mag.shape != phase_source.frames.shape:
-        raise ShapeError(
-            f"magnitude {mag.shape} does not match phase frames {phase_source.frames.shape}"
-        )
-    spec = mag * np.exp(1j * np.angle(phase_source.frames))
-    frames = np.fft.irfft(spec, n=phase_source.fft_size, axis=1)[:, :window_len]
-    window = _hann(window_len)
-    t = frames.shape[0]
-    out_len = (t - 1) * hop + window_len
+    if mag.shape != phase.shape:
+        raise ShapeError(f"magnitude {mag.shape} does not match phase frames {phase.shape}")
+    spec = mag * np.exp(1j * np.angle(phase))
+    frames = np.fft.irfft(spec, n=STFT.fft_size, axis=1)[:, :STFT.window_len]
+    window = _hann(STFT.window_len)
+    out_len = (frames.shape[0] - 1) * STFT.hop + STFT.window_len
     acc = np.zeros(out_len)
     wsum = np.zeros(out_len)
-    for i in range(t):
-        lo = i * hop
-        acc[lo:lo + window_len] += frames[i] * window
-        wsum[lo:lo + window_len] += window * window
-    return Waveform(acc / np.maximum(wsum, _OLA_FLOOR), sample_rate=sample_rate)
+    for i, frame in enumerate(frames):
+        lo = i * STFT.hop
+        acc[lo:lo + STFT.window_len] += frame * window
+        wsum[lo:lo + STFT.window_len] += window * window
+    return Waveform(acc / np.maximum(wsum, _OLA_FLOOR))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +183,6 @@ def synth_vowel(
     f0: float,
     duration: float,
     speaker_shift: float = 0.0,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
 ) -> Waveform:
     """Source-filter vowel: impulse train through two formant resonators.
 
@@ -219,9 +194,9 @@ def synth_vowel(
         raise ValueError(f"unknown vowel {vowel_label!r}, expected one of {VOWELS}")
     if not 70.0 <= f0 <= 350.0:
         raise ValueError(f"f0 {f0} Hz outside [70, 350]")
-    n = int(round(duration * sample_rate))
+    n = int(round(duration * DEFAULT_SAMPLE_RATE))
     excitation = np.zeros(n)
-    period = sample_rate / f0
+    period = DEFAULT_SAMPLE_RATE / f0
     positions = np.arange(0, n, period)
     excitation[positions.astype(int)] = 1.0
     excitation += 0.001 * randn(rng, (n,))
@@ -229,21 +204,16 @@ def synth_vowel(
     out = excitation
     for freq, bandwidth in zip(FORMANTS[vowel_label], (80.0, 120.0)):
         freq = freq * (1.0 + speaker_shift)
-        r = math.exp(-math.pi * bandwidth / sample_rate)
-        theta = 2.0 * math.pi * freq / sample_rate
+        r = math.exp(-math.pi * bandwidth / DEFAULT_SAMPLE_RATE)
+        theta = 2.0 * math.pi * freq / DEFAULT_SAMPLE_RATE
         out = lfilter([1.0], [1.0, -2.0 * r * math.cos(theta), r * r], out)
 
     peak = np.max(np.abs(out))
-    return Waveform(0.9 * out / peak, sample_rate=sample_rate)
+    return Waveform(0.9 * out / peak)
 
 
 def add_white_noise(w: Waveform, rng: Rng, snr_db: float) -> Waveform:
-    """Add Gaussian noise scaled to the exact requested signal-to-noise ratio.
-
-    snr_db = +inf is the no-noise sentinel and returns the waveform unchanged.
-    """
-    if math.isinf(snr_db) and snr_db > 0:
-        return Waveform(w.samples.copy(), sample_rate=w.sample_rate)
+    """Add Gaussian noise scaled to the exact requested signal-to-noise ratio."""
     p_signal = float(np.mean(w.samples**2))
     if p_signal == 0.0:
         raise ValueError("cannot scale noise against a silent signal")

@@ -460,7 +460,7 @@ def _loss_and_masks(model: FlowModel, batch: np.ndarray) -> tuple[float, list]:
         for level, level_cache in zip(model.layers, cache)
         for (_, layer), layer_cache in zip(level, level_cache)
         if isinstance(layer, AffineCoupling)
-        for key in ("h1", "h2")
+        for key in ("a1", "a2")
     ]
     return -float(np.mean(lnp)) / model.code_size, masks
 

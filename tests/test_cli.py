@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vowelflow import train
+from vowelflow import cli, dataset, train
 from vowelflow.cli import (
     _SCHEMA,
     EXIT_OK,
@@ -139,7 +139,7 @@ class TestExitCodes:
     def test_prepare_rejects_other_sample_rates(self, tmp_path, capsys):
         speaker = tmp_path / "timit" / "dr1" / "MABC0"
         speaker.mkdir(parents=True)
-        aa = synth_vowel(Rng(1), "aa", 120.0, 0.2, sample_rate=8000)
+        aa = Waveform(synth_vowel(Rng(1), "aa", 120.0, 0.2).samples, sample_rate=8000)
         write_wav(speaker / "sx1.wav", aa)
         (speaker / "sx1.phn").write_text(f"0 {len(aa.samples)} aa\n")
         rc = main(["--out-dir", str(tmp_path / "out"), "prepare",
@@ -202,6 +202,44 @@ class TestExitCodes:
         for ci, ni in pairs:
             clean, noisy = manifest.entries[ci].record, manifest.entries[ni].record
             assert (clean.vowel, clean.noise_snr_db) == (noisy.vowel, None)
+
+    def test_prepare_writes_one_wav_per_segment(self, tmp_path):
+        # one utterance holding two vowel segments under one id
+        speaker = tmp_path / "timit" / "dr1" / "MABC0"
+        speaker.mkdir(parents=True)
+        aa = synth_vowel(Rng(1), "aa", 120.0, 0.2)
+        iy = synth_vowel(Rng(2), "iy", 130.0, 0.25)
+        write_wav(speaker / "sx1.wav", Waveform(np.concatenate([aa.samples, iy.samples])))
+        source = read_wav(speaker / "sx1.wav").samples
+        n, m = len(aa.samples), len(aa.samples) + len(iy.samples)
+        (speaker / "sx1.phn").write_text(f"0 {n} aa\n{n} {m} iy\n")
+        out = tmp_path / "out"
+        rc = main(["--data.noise_snr_db", "10", "--data.write_wavs", "true",
+                   "--out-dir", str(out), "prepare",
+                   "--corpus-root", str(tmp_path / "timit")])
+        assert rc == EXIT_OK
+        assert sorted(p.name for p in (out / "wavs").iterdir()) == [
+            "0.wav", "1.wav", "2.wav", "3.wav"
+        ]
+        wavs = [read_wav(dataset.wav_path(out, i)).samples for i in range(4)]
+        np.testing.assert_array_equal(wavs[0], source[:n])  # clean /aa/
+        np.testing.assert_array_equal(wavs[2], source[n:m])  # clean /iy/
+        for clean, noisy in ((0, 1), (2, 3)):
+            assert len(wavs[noisy]) == len(wavs[clean])
+            assert not np.array_equal(wavs[noisy], wavs[clean])
+
+    @pytest.mark.parametrize("snr", ["inf", "nan"])
+    def test_non_finite_noise_snr_rejected_before_any_stft(
+        self, tmp_path, capsys, monkeypatch, snr
+    ):
+        calls = []
+        monkeypatch.setattr(dataset, "stft", lambda *a: calls.append(a))
+        out = tmp_path / "out"
+        rc = main(["--data.noise_snr_db", snr, "--out-dir", str(out), "synth-data"])
+        assert rc == EXIT_RUNTIME
+        assert "noise_snr_db must be finite" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "manifest.jsonl").exists()
 
     def test_missing_corpus_is_runtime_error(self, tmp_path, capsys):
         assert run(tmp_path / "empty", "train") == EXIT_RUNTIME
@@ -471,6 +509,23 @@ class TestArtifacts:
         assert [row.split(",")[column] for row in lines[2:]] == [
             f"{v:.10g}" for v in -lnp / model.code_size
         ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["lda", "--class-a", "aa", "--class-b", "iy"], ["denoise"],
+         ["reconstruct", "--utt", "spk00_aa_000"]],
+    )
+    def test_one_manifest_parse_per_command(self, pipeline, monkeypatch, argv):
+        calls = []
+
+        def counted(corpus_dir):
+            calls.append(corpus_dir)
+            return load_manifest(corpus_dir)
+
+        monkeypatch.setattr(cli, "load_manifest", counted)
+        monkeypatch.setattr(dataset, "load_manifest", counted)
+        assert run(pipeline, *argv) == EXIT_OK
+        assert len(calls) == 1
 
     def test_lda_artifacts(self, pipeline):
         rc = run(

@@ -18,6 +18,7 @@ from vowelflow.dataset import (
     build_corpus,
     extract_segments,
     image_to_magnitude,
+    image_to_waveform,
     load_manifest,
     padding_value,
     parse_phone_alignment,
@@ -28,6 +29,7 @@ from vowelflow.signal import (
     MAG_FLOOR,
     Waveform,
     denormalize,
+    istft_phase_borrow,
     log_normalize,
     stft,
     synth_vowel,
@@ -147,7 +149,7 @@ class TestImageToMagnitude:
     def segment(self):
         w = synth_vowel(Rng(7), "ae", 140.0, 0.15)
         rec = rec_for("u6", end=len(w.samples))
-        mag = stft(w, 400, 16, 512).magnitude
+        mag = np.abs(stft(w))
         return w, rec, mag
 
     def test_full_size_returns_the_magnitude(self):
@@ -171,6 +173,35 @@ class TestImageToMagnitude:
     def test_unmappable_image_rejected(self, shape):
         with pytest.raises(ValueError, match="does not map to a spectrogram"):
             image_to_magnitude(np.zeros(shape), STATS)
+
+
+class TestImageToWaveform:
+    def test_overlap_adds_the_image_on_the_phase(self):
+        w = synth_vowel(Rng(8), "iy", 120.0, 0.15)
+        phase = stft(w)
+        image = segment_to_spectrogram(w, rec_for("u7", end=len(w.samples)), STATS, 32)
+        audio = image_to_waveform(image.pixels[0], STATS, phase)
+        mag = image_to_magnitude(image.pixels[0], STATS)[: phase.shape[0]]
+        np.testing.assert_array_equal(audio.samples, istft_phase_borrow(mag, phase).samples)
+
+    def test_accepts_a_phase_of_full_frames(self):
+        phase = stft(Waveform(np.ones(400 + 287 * 16)))
+        assert phase.shape[0] == 288
+        audio = image_to_waveform(np.zeros((32, 32)), STATS, phase)
+        assert len(audio.samples) == 400 + 287 * 16
+
+    def test_rejects_a_phase_longer_than_full_frames(self):
+        phase = stft(Waveform(np.ones(400 + 288 * 16)))
+        assert phase.shape[0] == 289
+        with pytest.raises(ValueError, match="phase source has 289 frames; expected at most 288"):
+            image_to_waveform(np.zeros((32, 32)), STATS, phase)
+
+
+class TestDatasetConfig:
+    @pytest.mark.parametrize("snr", [math.inf, -math.inf, math.nan])
+    def test_non_finite_noise_snr_rejected(self, snr):
+        with pytest.raises(ValueError, match="noise_snr_db must be finite"):
+            DatasetConfig(noise_snr_db=snr)
 
 
 @pytest.fixture(scope="module")

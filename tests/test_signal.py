@@ -7,7 +7,6 @@ import pytest
 
 from vowelflow.numerics import Rng, ShapeError
 from vowelflow.signal import (
-    ComplexStft,
     Waveform,
     add_white_noise,
     denormalize,
@@ -79,7 +78,7 @@ class TestWav:
 class TestStft:
     def test_frame_count_arithmetic(self):
         w = Waveform(np.zeros(1200))
-        assert stft(w, 400, 16, 512).frames.shape[0] == 51
+        assert stft(w).shape[0] == 51
 
     def test_frame_count_formula_random_lengths(self):
         rng = Rng(2)
@@ -90,9 +89,9 @@ class TestStft:
             assert frame_count(n, win, hop) == math.floor((n - win) / hop) + 1
 
     def test_zero_waveform(self):
-        s = stft(Waveform(np.zeros(1000)), 400, 16, 512)
-        assert not np.abs(s.frames).any()
-        assert s.frames.shape == (38, 257)
+        s = stft(Waveform(np.zeros(1000)))
+        assert not np.abs(s).any()
+        assert s.shape == (38, 257)
 
     def test_sine_peaks_at_its_bin(self):
         fs = 16000
@@ -100,28 +99,22 @@ class TestStft:
         k = 32  # 1000 Hz sits exactly on bin 32
         t = np.arange(4000) / fs
         w = Waveform(0.5 * np.sin(2 * np.pi * (k * fs / fft_size) * t))
-        s = stft(w, 400, 16, fft_size)
-        mags = np.abs(s.frames)
+        mags = np.abs(stft(w))
         assert np.all(np.argmax(mags, axis=1) == k)
 
     def test_matches_single_bin_dft_oracle(self):
         rng = Rng(3)
         samples = rng.standard_normal(600)
-        s = stft(Waveform(samples), 400, 16, 512)
+        s = stft(Waveform(samples))
         window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(400) / 400)
         frame0 = samples[:400]
         for k in (0, 5, 100, 256):
             expected = dft_of_windowed_frame(frame0, window, 512, k)
-            assert s.frames[0, k] == pytest.approx(expected, abs=1e-9)
+            assert s[0, k] == pytest.approx(expected, abs=1e-9)
 
     def test_too_short_input(self):
         with pytest.raises(ValueError):
-            stft(Waveform(np.zeros(399)), 400, 16, 512)
-
-    @pytest.mark.parametrize("window_len, hop", [(400, 0), (400, -16), (0, 16)])
-    def test_nonpositive_window_or_hop_rejected(self, window_len, hop):
-        with pytest.raises(ValueError, match="window_len and hop must be positive"):
-            stft(Waveform(np.zeros(1000)), window_len, hop, 512)
+            stft(Waveform(np.zeros(399)))
 
 
 class TestIstftPhaseBorrow:
@@ -130,8 +123,8 @@ class TestIstftPhaseBorrow:
         # speech-like: filtered noise
         x = np.convolve(rng.standard_normal(6000), np.ones(8) / 8, mode="same")
         w = Waveform(x)
-        s = stft(w, 400, 16, 512)
-        rec = istft_phase_borrow(np.abs(s.frames), s, 400, 16)
+        s = stft(w)
+        rec = istft_phase_borrow(np.abs(s), s)
         n = min(len(rec.samples), len(w.samples))
         orig, back = w.samples[:n], rec.samples[:n]
         interior = slice(400, n - 400)
@@ -140,23 +133,23 @@ class TestIstftPhaseBorrow:
         assert snr >= 30.0
 
     def test_zero_magnitude(self):
-        s = stft(Waveform(np.ones(800)), 400, 16, 512)
-        rec = istft_phase_borrow(np.zeros_like(s.frames, dtype=float), s, 400, 16)
+        s = stft(Waveform(np.ones(800)))
+        rec = istft_phase_borrow(np.zeros_like(s, dtype=float), s)
         np.testing.assert_array_equal(rec.samples, 0.0)
 
     def test_linear_in_magnitude(self):
         rng = Rng(5)
         w = Waveform(rng.standard_normal(2000) * 0.1)
-        s = stft(w, 400, 16, 512)
-        mag = np.abs(s.frames)
-        one = istft_phase_borrow(mag, s, 400, 16)
-        two = istft_phase_borrow(2 * mag, s, 400, 16)
+        s = stft(w)
+        mag = np.abs(s)
+        one = istft_phase_borrow(mag, s)
+        two = istft_phase_borrow(2 * mag, s)
         np.testing.assert_allclose(two.samples, 2 * one.samples, atol=1e-10)
 
     def test_shape_mismatch(self):
-        s = stft(Waveform(np.ones(800)), 400, 16, 512)
+        s = stft(Waveform(np.ones(800)))
         with pytest.raises(ShapeError):
-            istft_phase_borrow(np.zeros((3, 3)), s, 400, 16)
+            istft_phase_borrow(np.zeros((3, 3)), s)
 
 
 class TestLogNormalize:
@@ -218,11 +211,6 @@ class TestSynthVowel:
 
 
 class TestAddWhiteNoise:
-    def test_inf_sentinel(self):
-        w = synth_vowel(Rng(12), "aa", 110.0, 0.2)
-        out = add_white_noise(w, Rng(13), math.inf)
-        np.testing.assert_array_equal(out.samples, w.samples)
-
     def test_zero_db_power_match(self):
         w = synth_vowel(Rng(14), "ae", 150.0, 0.5)
         noisy = add_white_noise(w, Rng(15), 0.0)
