@@ -1,5 +1,10 @@
 """Fixed-size spectrogram corpus construction.
 
+Each vowel segment goes through one front end: `segment_to_spectrogram`
+takes its (T, 257) STFT magnitude (None past FULL_FRAMES frames) and
+`magnitude_to_image` shapes that into the normalized (1, S, S) image;
+`image_to_magnitude` is the way back.
+
 A corpus directory holds three files:
 
 * ``corpus.fstn``    - concatenated FSTN tensor records, one per segment;
@@ -70,8 +75,6 @@ class SegmentRecord:
     speaker_id: str
     gender: str
     vowel: str
-    start_sample: int
-    end_sample: int
     noise_snr_db: float | None = None
 
     def __post_init__(self):
@@ -79,19 +82,6 @@ class SegmentRecord:
             raise ValueError(f"gender must be one of {GENDERS}, got {self.gender!r}")
         if self.vowel not in FORMANTS:
             raise ValueError(f"vowel must be one of {VOWELS}, got {self.vowel!r}")
-        if not self.start_sample < self.end_sample:
-            raise ValueError(
-                f"empty segment [{self.start_sample}, {self.end_sample}) in {self.utterance_id}"
-            )
-
-
-@dataclass
-class Spectrogram:
-    """Normalized log-magnitude image, (1, S, S) with rows = time frames."""
-
-    pixels: np.ndarray
-    record: SegmentRecord
-    valid_frames: int  # full-resolution frame count, <= FULL_FRAMES
 
 
 @dataclass
@@ -110,6 +100,8 @@ class DatasetConfig:
             raise ValueError(
                 f"noise_snr_db must be finite (none means no noise), got {self.noise_snr_db}"
             )
+        if not 0 < self.train_fraction <= 1:  # also rejects nan
+            raise ValueError(f"train_fraction must be in (0, 1], got {self.train_fraction}")
 
 
 @dataclass
@@ -191,7 +183,7 @@ class Manifest:
 
 
 def parse_phone_alignment(text: str) -> list[tuple[int, int, str]]:
-    """Parse "begin end label" lines with integer sample indices."""
+    """Parse "begin end label" lines with sample indices 0 <= begin < end."""
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -203,6 +195,8 @@ def parse_phone_alignment(text: str) -> list[tuple[int, int, str]]:
             begin, end = int(parts[0]), int(parts[1])
         except ValueError:
             raise AlignmentParseError(f"non-integer sample index in {line!r}", lineno) from None
+        if begin < 0:
+            raise AlignmentParseError(f"negative sample index in {line!r}", lineno)
         if begin >= end:
             raise AlignmentParseError(f"begin {begin} >= end {end}", lineno)
         out.append((begin, end, parts[2]))
@@ -210,26 +204,11 @@ def parse_phone_alignment(text: str) -> list[tuple[int, int, str]]:
 
 
 def extract_segments(
-    alignment: list[tuple[int, int, str]],
-    vowel_set,
-    utterance_id: str = "",
-    speaker_id: str = "",
-    gender: str = "unknown",
-) -> list[SegmentRecord]:
+    alignment: list[tuple[int, int, str]], vowel_set
+) -> list[tuple[int, int, str]]:
     """Keep only alignment entries whose label is in `vowel_set`."""
     wanted = set(vowel_set)
-    return [
-        SegmentRecord(
-            utterance_id=utterance_id,
-            speaker_id=speaker_id,
-            gender=gender,
-            vowel=label,
-            start_sample=begin,
-            end_sample=end,
-        )
-        for begin, end, label in alignment
-        if label in wanted
-    ]
+    return [entry for entry in alignment if entry[2] in wanted]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +225,7 @@ def _pool(image: np.ndarray, size: int) -> np.ndarray:
     return image.reshape(size, factor, size, factor).mean(axis=(1, 3))
 
 
-def _magnitude_to_image(
+def magnitude_to_image(
     mag: np.ndarray, stats: tuple[float, float], image_size: int
 ) -> np.ndarray:
     """(T <= FULL_FRAMES, bins) STFT magnitude -> (1, S, S) normalized image.
@@ -267,7 +246,7 @@ def _magnitude_to_image(
 def image_to_magnitude(image: np.ndarray, stats: tuple[float, float]) -> np.ndarray:
     """(S, S) normalized image -> (FULL_FRAMES, bins) STFT magnitude.
 
-    Undoes `_magnitude_to_image` as far as it can: repeats each pooled
+    Undoes `magnitude_to_image` as far as it can: repeats each pooled
     pixel over its block, denormalizes and drops the zero bands.  Exact
     (to rounding) at S = FULL_FRAMES, where padding frames come back as
     magnitude zero.
@@ -294,42 +273,23 @@ def image_to_waveform(
     return istft_phase_borrow(image_to_magnitude(image, stats)[:frames], phase)
 
 
-def segment_to_spectrogram(
-    w: Waveform,
-    rec: SegmentRecord,
-    stats: tuple[float, float],
-    image_size: int = FULL_FRAMES,
-) -> Spectrogram | None:
-    """Build the fixed-size normalized image for one segment.
+def segment_to_spectrogram(w: Waveform) -> np.ndarray | None:
+    """(T, bins) STFT magnitude of one segment, T <= FULL_FRAMES.
 
-    Takes the segment's STFT magnitude and shapes it as
-    `_magnitude_to_image` does.  Returns None (discard) when the
-    segment spans more than FULL_FRAMES frames.
+    Returns None (discard) when the segment spans more than FULL_FRAMES
+    frames.  `magnitude_to_image` turns the magnitude into the image.
     """
-    if rec.start_sample < 0 or rec.end_sample > len(w.samples):
-        raise ValueError(
-            f"segment [{rec.start_sample}, {rec.end_sample}) outside waveform "
-            f"of {len(w.samples)} samples"
-        )
-    seg = Waveform(w.samples[rec.start_sample:rec.end_sample], w.sample_rate)
-    mag = np.abs(stft(seg))
-    if mag.shape[0] > FULL_FRAMES:
-        return None
-    pixels = _magnitude_to_image(mag, stats, image_size)
-    return Spectrogram(pixels=pixels, record=rec, valid_frames=mag.shape[0])
+    mag = np.abs(stft(w))
+    return mag if mag.shape[0] <= FULL_FRAMES else None
 
 
 # ---------------------------------------------------------------------------
-# corpus sources
+# corpus sources: lists of (record, segment waveform)
 
 
-@dataclass
-class _RawSegment:
-    record: SegmentRecord
-    waveform: Waveform  # full source waveform; record bounds index into it
-
-
-def _synthetic_segments(spec: SyntheticSpec, rng: Rng) -> list[_RawSegment]:
+def _synthetic_segments(
+    spec: SyntheticSpec, rng: Rng
+) -> list[tuple[SegmentRecord, Waveform]]:
     speaker_rng = rng.spawn(0)
     draw_rng = rng.spawn(1)
     speakers = []
@@ -345,19 +305,12 @@ def _synthetic_segments(spec: SyntheticSpec, rng: Rng) -> list[_RawSegment]:
                 f0 = draw_rng.uniform(*_F0_RANGE[gender])
                 duration = draw_rng.uniform(*_DURATION_RANGE)
                 w = synth_vowel(draw_rng, vowel, f0, duration, shift)
-                rec = SegmentRecord(
-                    utterance_id=f"{spk}_{vowel}_{draw:03d}",
-                    speaker_id=spk,
-                    gender=gender,
-                    vowel=vowel,
-                    start_sample=0,
-                    end_sample=len(w.samples),
-                )
-                out.append(_RawSegment(rec, w))
+                rec = SegmentRecord(f"{spk}_{vowel}_{draw:03d}", spk, gender, vowel)
+                out.append((rec, w))
     return out
 
 
-def _real_corpus_segments(root: Path, vowels) -> list[_RawSegment]:
+def _real_corpus_segments(root: Path, vowels) -> list[tuple[SegmentRecord, Waveform]]:
     """Walk a "<dialect>/<G><ID>/<utt>.phn" tree with sibling WAV files."""
     out = []
     for phn in sorted(root.rglob("*.phn")):
@@ -370,11 +323,11 @@ def _real_corpus_segments(root: Path, vowels) -> list[_RawSegment]:
         if gender not in ("M", "F"):
             gender = "unknown"
         utt = f"{dialect}_{speaker_dir}_{phn.stem}"
-        alignment = parse_phone_alignment(phn.read_text())
-        records = extract_segments(
-            alignment, vowels, utterance_id=utt, speaker_id=speaker_dir, gender=gender
-        )
-        if not records:
+        try:
+            segments = extract_segments(parse_phone_alignment(phn.read_text()), vowels)
+        except AlignmentParseError as exc:
+            raise ValueError(f"{phn}: {exc}") from exc
+        if not segments:
             continue
         w = read_wav(wav_path)
         if w.sample_rate != DEFAULT_SAMPLE_RATE:
@@ -382,13 +335,16 @@ def _real_corpus_segments(root: Path, vowels) -> list[_RawSegment]:
                 f"{wav_path}: sample rate {w.sample_rate} Hz, "
                 f"the spectrogram front end needs {DEFAULT_SAMPLE_RATE} Hz"
             )
-        for rec in records:
-            if rec.end_sample > len(w.samples):
+        for begin, end, vowel in segments:
+            if end > len(w.samples):
                 raise ValueError(
-                    f"{phn}: segment '{rec.start_sample} {rec.end_sample} {rec.vowel}' "
+                    f"{phn}: segment '{begin} {end} {vowel}' "
                     f"runs past the {len(w.samples)} samples of {wav_path.name}"
                 )
-        out.extend(_RawSegment(rec, w) for rec in records)
+        out.extend(
+            (SegmentRecord(utt, speaker_dir, gender, vowel), Waveform(w.samples[begin:end]))
+            for begin, end, vowel in segments
+        )
     return out
 
 
@@ -424,23 +380,18 @@ def build_corpus(
     noise_rng = rng.spawn(2)
     split_rng = rng.spawn(3)
 
-    # materialize segment waveforms, attach noisy twins, drop unusable segments
+    # attach noisy twins, take each magnitude, drop unusable segments
     segments: list[tuple[SegmentRecord, Waveform, np.ndarray]] = []  # (rec, wave, mag)
-    for item in raw:
-        rec = item.record
-        sliced = Waveform(
-            item.waveform.samples[rec.start_sample:rec.end_sample],
-            item.waveform.sample_rate,
-        )
-        if len(sliced.samples) < STFT.window_len:
-            continue  # shorter than one analysis window
-        variants = [(rec, sliced)]
+    for rec, wave in raw:
+        if len(wave.samples) < STFT.window_len:
+            continue  # shorter than one analysis window; draws no noise
+        variants = [(rec, wave)]
         if config.noise_snr_db is not None:
             twin = replace(rec, noise_snr_db=config.noise_snr_db)
-            variants.append((twin, add_white_noise(sliced, noise_rng, config.noise_snr_db)))
+            variants.append((twin, add_white_noise(wave, noise_rng, config.noise_snr_db)))
         for vrec, vwave in variants:
-            mag = np.abs(stft(vwave))
-            if mag.shape[0] <= FULL_FRAMES:  # longer segments are discarded
+            mag = segment_to_spectrogram(vwave)
+            if mag is not None:
                 segments.append((vrec, vwave, mag))
 
     if not segments:
@@ -482,7 +433,7 @@ def build_corpus(
     with open(out_dir / "corpus.fstn", "wb") as archive:
         for index, (rec, wave_seg, mag) in enumerate(segments):
             offset = archive.tell()
-            write_tensor_to(archive, _magnitude_to_image(mag, stats, config.image_size))
+            write_tensor_to(archive, magnitude_to_image(mag, stats, config.image_size))
             entries.append(ManifestEntry(record=rec, valid_frames=mag.shape[0], offset=offset))
             if config.write_wavs:
                 write_wav(wav_path(out_dir, index), wave_seg)
@@ -537,15 +488,12 @@ def load_manifest(corpus_dir: str | Path) -> Manifest:
     for number, line in enumerate(path.read_text().splitlines(), start=1):
         try:
             row = json.loads(line)
-            start, end = 0, 1  # archive stores pixels; original bounds are not replayed
             entries.append(ManifestEntry(
                 record=SegmentRecord(
                     utterance_id=row["utt"],
                     speaker_id=row["spk"],
                     gender=row["gender"],
                     vowel=row["vowel"],
-                    start_sample=start,
-                    end_sample=end,
                     noise_snr_db=row["noise_snr_db"],
                 ),
                 valid_frames=row["valid_frames"],

@@ -46,21 +46,23 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        self._spawn_key: tuple[int, ...] = ()
         self._gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(self.seed))
         )
 
-    @classmethod
-    def _from_seq(cls, seed: int, seq: np.random.SeedSequence) -> "Rng":
-        rng = cls.__new__(cls)
-        rng.seed = seed
-        rng._gen = np.random.Generator(np.random.Philox(seq))
-        return rng
-
     def spawn(self, index: int) -> "Rng":
-        """Child stream `index`, independent of draws made from self."""
-        seq = np.random.SeedSequence(self.seed, spawn_key=(int(index),))
-        return Rng._from_seq(self.seed, seq)
+        """Child stream `index`, independent of draws made from self.
+
+        The child's spawn key is self's plus `(index,)`, so a grandchild
+        never repeats a child of the root.
+        """
+        child = Rng.__new__(Rng)
+        child.seed = self.seed
+        child._spawn_key = self._spawn_key + (int(index),)
+        seq = np.random.SeedSequence(self.seed, spawn_key=child._spawn_key)
+        child._gen = np.random.Generator(np.random.Philox(seq))
+        return child
 
     def standard_normal(self, shape=None) -> np.ndarray | float:
         return self._gen.standard_normal(size=shape)

@@ -161,6 +161,22 @@ class TestExitCodes:
         assert "3200 samples" in err
 
     @pytest.mark.parametrize(
+        "phn, message",
+        [("0 3200 aa\n-3200 6400 iy\n", "line 2: negative sample index in '-3200 6400 iy'"),
+         ("0 3200 aa\n5 3 iy\n", "line 2: begin 5 >= end 3")],
+    )
+    def test_prepare_alignment_errors_name_the_phn_file(self, tmp_path, capsys, phn, message):
+        speaker = tmp_path / "timit" / "dr1" / "MABC0"
+        speaker.mkdir(parents=True)
+        write_wav(speaker / "sx1.wav", synth_vowel(Rng(1), "aa", 120.0, 0.4))
+        (speaker / "sx1.phn").write_text(phn)
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "prepare", "--corpus-root", str(tmp_path / "timit")])
+        assert rc == EXIT_RUNTIME
+        assert f"error: {speaker / 'sx1.phn'}: {message}" in capsys.readouterr().err
+        assert not (out / "manifest.jsonl").exists()
+
+    @pytest.mark.parametrize(
         "channels, width, message",
         [(2, 2, "expected mono WAV, got 2 channels"),
          (1, 1, "expected 16-bit PCM, got 8-bit")],
@@ -238,6 +254,19 @@ class TestExitCodes:
         rc = main(["--data.noise_snr_db", snr, "--out-dir", str(out), "synth-data"])
         assert rc == EXIT_RUNTIME
         assert "noise_snr_db must be finite" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "manifest.jsonl").exists()
+
+    @pytest.mark.parametrize("fraction", ["7", "-3", "0", "nan"])
+    def test_bad_train_fraction_rejected_before_any_stft(
+        self, tmp_path, capsys, monkeypatch, fraction
+    ):
+        calls = []
+        monkeypatch.setattr(dataset, "stft", lambda *a: calls.append(a))
+        out = tmp_path / "out"
+        rc = main(["--data.train_fraction", fraction, "--out-dir", str(out), "synth-data"])
+        assert rc == EXIT_RUNTIME
+        assert "train_fraction must be in (0, 1]" in capsys.readouterr().err
         assert calls == []
         assert not (out / "manifest.jsonl").exists()
 

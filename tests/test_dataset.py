@@ -20,6 +20,7 @@ from vowelflow.dataset import (
     image_to_magnitude,
     image_to_waveform,
     load_manifest,
+    magnitude_to_image,
     padding_value,
     parse_phone_alignment,
     segment_to_spectrogram,
@@ -51,6 +52,12 @@ class TestParseAlignment:
             parse_phone_alignment("5 3 aa")
         assert exc.value.line_number == 1
 
+    def test_negative_index(self):
+        # a negative begin would slice from the end of the WAV
+        with pytest.raises(AlignmentParseError, match="line 2: negative sample index") as exc:
+            parse_phone_alignment("0 100 h#\n-3200 6400 iy")
+        assert exc.value.line_number == 2
+
     def test_non_integer_field(self):
         with pytest.raises(AlignmentParseError) as exc:
             parse_phone_alignment("0 100 h#\nx 200 aa")
@@ -65,9 +72,7 @@ class TestExtractSegments:
     def test_filters_to_vowels(self):
         alignment = [(0, 100, "h#"), (100, 700, "aa"), (700, 900, "s")]
         got = extract_segments(alignment, {"aa", "ae", "iy", "ow", "uh"})
-        assert len(got) == 1
-        assert got[0].vowel == "aa"
-        assert (got[0].start_sample, got[0].end_sample) == (100, 700)
+        assert got == [(100, 700, "aa")]
 
     def test_no_vowels(self):
         assert extract_segments([(0, 10, "h#"), (10, 20, "s")], {"aa"}) == []
@@ -83,42 +88,39 @@ class TestExtractSegments:
 STATS = (-6.0, 3.0)
 
 
-def rec_for(utt, end, start=0, vowel="aa"):
-    return SegmentRecord(utt, "spkT", "M", vowel, start, end)
+def rec_for(utt, vowel="aa"):
+    return SegmentRecord(utt, "spkT", "M", vowel)
+
+
+def image_of(w, image_size):
+    """The corpus image of segment `w`: the front end `build_corpus` runs."""
+    return magnitude_to_image(segment_to_spectrogram(w), STATS, image_size)[0]
 
 
 class TestSegmentToSpectrogram:
     def test_padding_contract(self):
         w = synth_vowel(Rng(1), "aa", 120.0, 0.075)  # 1200 samples -> 51 frames
-        rec = rec_for("u0", end=len(w.samples))
-        spec = segment_to_spectrogram(w, rec, STATS, image_size=288)
-        assert spec.valid_frames == 51
+        assert segment_to_spectrogram(w).shape == (51, 257)
+        image = image_of(w, 288)
         pad = padding_value(STATS)
-        np.testing.assert_array_equal(spec.pixels[0, 51:], pad)
-        assert np.any(spec.pixels[0, :51] != pad)
+        np.testing.assert_array_equal(image[51:], pad)
+        assert np.any(image[:51] != pad)
 
     def test_discard_rule(self):
         w = synth_vowel(Rng(2), "aa", 120.0, 0.4)  # 6400 samples -> 376 frames
-        rec = rec_for("u1", end=len(w.samples))
-        assert segment_to_spectrogram(w, rec, STATS, 288) is None
+        assert segment_to_spectrogram(w) is None
 
     def test_output_shape_full(self):
         w = synth_vowel(Rng(3), "iy", 150.0, 0.2)
-        rec = rec_for("u2", end=len(w.samples))
-        spec = segment_to_spectrogram(w, rec, STATS, 288)
-        assert spec.pixels.shape == (1, 288, 288)
+        assert image_of(w, 288).shape == (288, 288)
 
     def test_output_shape_desk(self):
         w = synth_vowel(Rng(4), "iy", 150.0, 0.2)
-        rec = rec_for("u3", end=len(w.samples))
-        spec = segment_to_spectrogram(w, rec, STATS, 32)
-        assert spec.pixels.shape == (1, 32, 32)
+        assert image_of(w, 32).shape == (32, 32)
 
     def test_desk_is_average_pool_of_full(self):
         w = synth_vowel(Rng(5), "ow", 100.0, 0.18)
-        rec = rec_for("u4", end=len(w.samples))
-        full = segment_to_spectrogram(w, rec, STATS, 288).pixels[0]
-        desk = segment_to_spectrogram(w, rec, STATS, 32).pixels[0]
+        full, desk = image_of(w, 288), image_of(w, 32)
         pooled = full.reshape(32, 9, 32, 9).mean(axis=(1, 3))
         np.testing.assert_allclose(desk, pooled, atol=1e-12)
 
@@ -135,34 +137,24 @@ class TestSegmentToSpectrogram:
         mag = np.concatenate([mag, np.zeros((t, 288 - mag.shape[1]))], axis=1)
         image = np.full((288, 288), (math.log(MAG_FLOOR) - STATS[0]) / STATS[1])
         image[:t] = (np.log(mag + MAG_FLOOR) - STATS[0]) / STATS[1]
-        spec = segment_to_spectrogram(w, rec_for("u6", end=len(w.samples)), STATS, 288)
-        np.testing.assert_array_equal(spec.pixels[0], image)
-
-    def test_bounds_violation(self):
-        w = synth_vowel(Rng(6), "uh", 100.0, 0.2)
-        rec = rec_for("u5", end=len(w.samples) + 5)
-        with pytest.raises(ValueError):
-            segment_to_spectrogram(w, rec, STATS, 288)
+        np.testing.assert_array_equal(image_of(w, 288), image)
 
 
 class TestImageToMagnitude:
     def segment(self):
-        w = synth_vowel(Rng(7), "ae", 140.0, 0.15)
-        rec = rec_for("u6", end=len(w.samples))
-        mag = np.abs(stft(w))
-        return w, rec, mag
+        return synth_vowel(Rng(7), "ae", 140.0, 0.15)
 
     def test_full_size_returns_the_magnitude(self):
-        w, rec, mag = self.segment()
-        spec = segment_to_spectrogram(w, rec, STATS, 288)
-        back = image_to_magnitude(spec.pixels[0], STATS)
+        w = self.segment()
+        mag = segment_to_spectrogram(w)
+        np.testing.assert_array_equal(mag, np.abs(stft(w)))
+        back = image_to_magnitude(image_of(w, 288), STATS)
         assert back.shape == (288, 257)
-        np.testing.assert_allclose(back[: spec.valid_frames], mag, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(back[spec.valid_frames:], 0.0, atol=1e-15)
+        np.testing.assert_allclose(back[: len(mag)], mag, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(back[len(mag):], 0.0, atol=1e-15)
 
     def test_desk_size_repeats_the_pooled_image(self):
-        w, rec, _ = self.segment()
-        pooled = segment_to_spectrogram(w, rec, STATS, 32).pixels[0]
+        pooled = image_of(self.segment(), 32)
         back = image_to_magnitude(pooled, STATS)
         assert back.shape == (288, 257)
         repeated = np.repeat(np.repeat(pooled, 9, axis=0), 9, axis=1)[:, :257]
@@ -179,9 +171,9 @@ class TestImageToWaveform:
     def test_overlap_adds_the_image_on_the_phase(self):
         w = synth_vowel(Rng(8), "iy", 120.0, 0.15)
         phase = stft(w)
-        image = segment_to_spectrogram(w, rec_for("u7", end=len(w.samples)), STATS, 32)
-        audio = image_to_waveform(image.pixels[0], STATS, phase)
-        mag = image_to_magnitude(image.pixels[0], STATS)[: phase.shape[0]]
+        image = image_of(w, 32)
+        audio = image_to_waveform(image, STATS, phase)
+        mag = image_to_magnitude(image, STATS)[: phase.shape[0]]
         np.testing.assert_array_equal(audio.samples, istft_phase_borrow(mag, phase).samples)
 
     def test_accepts_a_phase_of_full_frames(self):
@@ -202,6 +194,14 @@ class TestDatasetConfig:
     def test_non_finite_noise_snr_rejected(self, snr):
         with pytest.raises(ValueError, match="noise_snr_db must be finite"):
             DatasetConfig(noise_snr_db=snr)
+
+    @pytest.mark.parametrize("fraction", [0.0, -3.0, 1.5, 7.0, math.inf, math.nan])
+    def test_train_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match=r"train_fraction must be in \(0, 1\]"):
+            DatasetConfig(train_fraction=fraction)
+
+    def test_train_fraction_one_accepted(self):
+        assert DatasetConfig(train_fraction=1.0).train_fraction == 1.0
 
 
 @pytest.fixture(scope="module")
@@ -414,7 +414,7 @@ class TestRealCorpusIngestion:
 
 class TestManifestInvariants:
     def test_rejects_nonincreasing_offsets(self):
-        rec = rec_for("u", end=10)
+        rec = rec_for("u")
         entries = [
             ManifestEntry(rec, valid_frames=10, offset=100),
             ManifestEntry(rec, valid_frames=10, offset=100),
@@ -423,8 +423,8 @@ class TestManifestInvariants:
             Manifest(entries, stats=(0.0, 1.0), config={}, train_utterances=[])
 
     def test_noisy_entry_must_follow_its_clean_sibling(self):
-        aa, iy = rec_for("u", end=10), rec_for("u", end=10, vowel="iy")
-        noisy_aa = SegmentRecord("u", "spkT", "M", "aa", 0, 10, noise_snr_db=10.0)
+        aa, iy = rec_for("u"), rec_for("u", vowel="iy")
+        noisy_aa = SegmentRecord("u", "spkT", "M", "aa", noise_snr_db=10.0)
         entries = [
             ManifestEntry(rec, valid_frames=10, offset=k)
             for k, rec in enumerate((aa, iy, noisy_aa))
@@ -439,8 +439,6 @@ class TestManifestInvariants:
 
     def test_record_invariants(self):
         with pytest.raises(ValueError):
-            SegmentRecord("u", "s", "M", "aa", 10, 10)
+            SegmentRecord("u", "s", "M", "xx")
         with pytest.raises(ValueError):
-            SegmentRecord("u", "s", "M", "xx", 0, 10)
-        with pytest.raises(ValueError):
-            SegmentRecord("u", "s", "X", "aa", 0, 10)
+            SegmentRecord("u", "s", "X", "aa")

@@ -274,6 +274,21 @@ class TestRng:
             randn(r1.spawn(3), (5,)), randn(r2.spawn(3), (5,))
         )
 
+    def test_spawn_is_philox_on_the_spawn_key(self):
+        def philox(seed, key, shape):
+            seq = np.random.SeedSequence(seed, spawn_key=key)
+            return np.random.Generator(np.random.Philox(seq)).standard_normal(shape)
+
+        np.testing.assert_array_equal(randn(Rng(5).spawn(1), (6,)), philox(5, (1,), (6,)))
+        np.testing.assert_array_equal(
+            randn(Rng(5).spawn(3).spawn(1), (6,)), philox(5, (3, 1), (6,))
+        )
+
+    def test_nested_spawn_differs_from_root_spawn(self):
+        nested = randn(Rng(5).spawn(3).spawn(1), (8,))
+        assert not np.array_equal(nested, randn(Rng(5).spawn(1), (8,)))
+        assert not np.array_equal(nested, randn(Rng(5).spawn(3), (8,)))
+
     def test_state_round_trip(self):
         rng = Rng(13)
         randn(rng, (7,))

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import make_random_model
+from vowelflow.dataset import DatasetConfig, SyntheticSpec, build_corpus
 from vowelflow.flow import FlowConfig
+from vowelflow.numerics import Rng
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import spans  # noqa: E402
@@ -57,3 +59,21 @@ def test_model_spans_recorded(tracer):
     assert summary["counts"]["flow.model.cache_bytes"] > 0
     assert summary["counts"]["numerics.conv2d.gflop"] > 0
     assert not summary["errors"]
+
+
+def test_corpus_front_end_spans_recorded(tracer, tmp_path):
+    # build_corpus takes each magnitude through segment_to_spectrogram, so
+    # the traced benchmark attributes the STFT to the front end
+    tracer.open_stage("synth-data")
+    manifest = build_corpus(
+        SyntheticSpec(n_speakers=1, draws_per_vowel=2),
+        DatasetConfig(image_size=32, noise_snr_db=10.0),
+        Rng(6),
+        tmp_path,
+    )
+    tracer.close_stage(wall=1.0)
+
+    calls = tracer.summary()["calls"]
+    assert len(manifest.entries) == 20
+    assert calls.get("dataset.segment_to_spectrogram", 0) == len(manifest.entries)
+    assert calls["signal.stft"] == len(manifest.entries)
