@@ -42,12 +42,11 @@ with CorpusReader(out) as reader:
     pixels = reader.load(manifest.train_indices())
 print(f"pixels: {pixels.shape}, mean {pixels.mean():.3f}, std {pixels.std():.3f}")
 
-# A 3-level flow with 2 steps per level and width-32 couplings; actnorm
-# initializes itself from the first batch.
+# A 3-level flow with 2 steps per level and width-32 couplings; the
+# loop sets every actnorm from the first batch.
 model = build_model(FlowConfig(levels=3, depth=2, coupling_width=32), seed)
 train_config = TrainConfig(steps=300, lr=1e-3, seed=seed)
-result = train_loop(model, pixels, train_config, out,
-                    stats=manifest.stats, log=print)
+result = train_loop(model, pixels, train_config, out, log=print)
 
 # The metrics file has one row per step: nats/dim, bits/dim, gradient
 # norm, and wall time.

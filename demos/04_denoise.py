@@ -40,8 +40,7 @@ print(f"corpus: {len(manifest.entries)} segments, {len(pairs)} clean/noisy pairs
 with CorpusReader(out) as reader:
     pixels = reader.load(manifest.train_indices())
 model = build_model(FlowConfig(levels=3, depth=2, coupling_width=32), seed)
-train_loop(model, pixels, TrainConfig(steps=300, lr=1e-3, seed=seed), out,
-           stats=manifest.stats)
+train_loop(model, pixels, TrainConfig(steps=300, lr=1e-3, seed=seed), out)
 
 # The displacement is the difference of the two population means in code
 # space, clean to noisy; scaling it by beta and subtracting moves a noisy

@@ -352,7 +352,6 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
         train_config,
         out,
         resume=resume,
-        stats=manifest.stats,
         comment=_config_comment(cfg),
         log=_info,
     )
@@ -464,7 +463,7 @@ def cmd_denoise(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     xi = displacement(z_clean, z_noisy)
 
     target_px = load([target_noisy, target_clean])
-    z_target, _ = encode_batch(model, target_px)
+    z_target, _ = encode_batch(model, target_px[:1])
     sweep = denoise(model, z_target[0], xi, betas)
     nats = _write_decoded(out, "denoised", model, sweep.images)
     mse = np.mean((sweep.images - target_px[1][None]) ** 2, axis=(1, 2, 3))

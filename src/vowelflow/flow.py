@@ -49,10 +49,6 @@ class NonFiniteError(FloatingPointError):
         self.layer_name = layer_name
 
 
-class UninitializedActNorm(RuntimeError):
-    """ActNorm used in inference mode before data-dependent initialization."""
-
-
 @dataclass
 class FlowConfig:
     """Multi-scale flow capacity knobs.  Defaults are the desk-scale CI config."""
@@ -106,15 +102,14 @@ def prior_logprob(z: np.ndarray) -> np.ndarray | float:
 class ActNorm:
     """Per-channel affine y = exp(log_scale) * x + bias.
 
-    Parameters come from data-dependent initialization: the first
-    training batch sets them so outputs have zero mean and unit
-    variance per channel.
+    A fresh layer is the identity (log_scale 0, bias 0, logdet 0).  The
+    training loop sets it once, by `data_init` on its first batch, so
+    outputs have zero mean and unit variance per channel.
     """
 
     def __init__(self, channels: int):
         self.log_scale = np.zeros(channels)
         self.bias = np.zeros(channels)
-        self.initialized = False
 
     def data_init(self, x: np.ndarray) -> None:
         mean = x.mean(axis=(0, 2, 3))
@@ -122,11 +117,8 @@ class ActNorm:
         std = np.sqrt(np.maximum(var, 1e-12))
         self.log_scale = -np.log(std)
         self.bias = -mean / std
-        self.initialized = True
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.initialized:
-            raise UninitializedActNorm("actnorm used before data-dependent init")
         scale = np.exp(self.log_scale)[:, None, None]
         y = scale * x + self.bias[:, None, None]
         h, w = x.shape[2], x.shape[3]
@@ -134,8 +126,6 @@ class ActNorm:
         return y, logdet, x
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
-        if not self.initialized:
-            raise UninitializedActNorm("actnorm used before data-dependent init")
         return (y - self.bias[:, None, None]) * np.exp(-self.log_scale)[:, None, None]
 
     def backward(
@@ -355,18 +345,6 @@ class FlowModel:
                 raise ShapeError(f"{name}: shape {arr.shape} != {target.shape}")
             target[...] = arr
 
-    def _actnorms(self) -> list[ActNorm]:
-        return [layer for _, layer in self._named_layers() if isinstance(layer, ActNorm)]
-
-    @property
-    def actnorms_initialized(self) -> bool:
-        return all(layer.initialized for layer in self._actnorms())
-
-    def mark_actnorms_initialized(self) -> None:
-        """Treat current actnorm params as final (checkpoint load, tests)."""
-        for layer in self._actnorms():
-            layer.initialized = True
-
     def layout(self) -> tuple[CodePart, ...]:
         return self._layout
 
@@ -387,6 +365,8 @@ class FlowModel:
         """x -> (code parts, per-example logdet, optional backward cache).
 
         The cache holds, per level, each layer's cache in layer order.
+        With `init_actnorm`, every actnorm is first data-initialized from
+        the batch that reaches it.
         """
         h = self.check_input(x)
         logdet = np.zeros(h.shape[0])
@@ -397,7 +377,7 @@ class FlowModel:
             h = squeeze(h)
             level_cache = []
             for name, layer in level:
-                if init_actnorm and isinstance(layer, ActNorm) and not layer.initialized:
+                if init_actnorm and isinstance(layer, ActNorm):
                     layer.data_init(h)
                 h, ld, layer_cache = layer.forward(h)
                 if not np.all(np.isfinite(h)):

@@ -64,16 +64,14 @@ def encode_batch(model: FlowModel, pixels: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def decode_batch(model: FlowModel, z: np.ndarray) -> np.ndarray:
-    """Codes (N, d) or (d,) -> pixels; the exact inverse of encoding,
-    chunked like `encode_batch`."""
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
+    """Codes (N, d) -> pixels; the exact inverse of encoding, chunked
+    like `encode_batch`."""
     parts = model.unflatten_code(z)
     n, k = parts[0].shape[0], chunk_rows(model.config)
     out = np.empty((n, *model.config.input_shape))
     for i in range(0, n, k):
         out[i : i + k] = model.inverse([p[i : i + k] for p in parts])
-    return out[0] if single else out
+    return out
 
 
 def sample(
@@ -301,10 +299,11 @@ def lda_fit(
 
     pooled = np.concatenate([ca, cb], axis=0)
     residual = pooled - np.outer(pooled @ w1, w1)
-    cov = residual.T @ residual
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    w2 = eigvecs[:, -1]
-    if eigvals[-1] <= 1e-12 * max(float(np.trace(cov)), 1.0):
+    # the leading right singular vector of the residuals is the top
+    # eigenvector of their d x d scatter, without forming it
+    _, sv, vt = np.linalg.svd(residual, full_matrices=False)
+    power = sv**2
+    if power[0] <= 1e-12 * max(float(power.sum()), 1.0):
         # no residual variance: fall back to any unit vector orthogonal to w1
         w2 = None
         for k in range(d):
@@ -317,7 +316,7 @@ def lda_fit(
                 break
         assert w2 is not None
     else:
-        w2 = w2 - (w2 @ w1) * w1
+        w2 = vt[0] - (vt[0] @ w1) * w1
         w2 /= np.linalg.norm(w2)
     return LdaProbe(
         direction_1=w1,
@@ -385,16 +384,13 @@ def write_csv(path: str | os.PathLike, header: list[str], rows, comment=None) ->
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def write_pgm(path: str | os.PathLike, image: np.ndarray, lo=None, hi=None) -> None:
-    """Binary 8-bit PGM (P5).  Grey levels span [lo, hi]; defaults to the
+def write_pgm(path: str | os.PathLike, image: np.ndarray) -> None:
+    """Binary 8-bit PGM (P5) of an (H, W) image.  Grey levels span the
     image's own range so the full contrast is used."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 3 and img.shape[0] == 1:
-        img = img[0]
     if img.ndim != 2:
-        raise ShapeError(f"need a single-channel image, got shape {image.shape}")
-    lo = float(img.min()) if lo is None else float(lo)
-    hi = float(img.max()) if hi is None else float(hi)
+        raise ShapeError(f"need an (H, W) image, got shape {image.shape}")
+    lo, hi = float(img.min()), float(img.max())
     if hi <= lo:
         levels = np.zeros(img.shape, dtype=np.uint8)
     else:

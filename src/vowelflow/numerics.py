@@ -191,15 +191,11 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Cross-correlation with "same" zero padding plus per-channel bias.
 
-    Accepts a single image (C, H, W) or a batch (B, C, H, W); the
-    output keeps the input's layout with O channels.
+    (B, C, H, W) input -> (B, O, H, W) output.
     """
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
     _check_operands(x, kernel)
     if bias.shape != (kernel.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} does not match {kernel.shape[0]} outputs")
@@ -208,7 +204,7 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     cols = _im2col(x, kh, kw)
     y = (kernel.reshape(o, c * kh * kw) @ cols).reshape(bsz, o, h, w)
     y += bias[:, None, None]
-    return y[0] if single else y
+    return y
 
 
 def conv2d_backward(
@@ -224,10 +220,6 @@ def conv2d_backward(
     grad_out = np.asarray(grad_out, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-        grad_out = grad_out[None]
     _check_operands(x, kernel)
     o, c, kh, kw = kernel.shape
     if grad_out.shape != (x.shape[0], o, x.shape[2], x.shape[3]):
@@ -250,9 +242,6 @@ def conv2d_backward(
     # flipped kernel.
     kflip = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     grad_x = conv2d(grad_out, np.ascontiguousarray(kflip), np.zeros(c))
-
-    if single:
-        return grad_x[0], grad_kernel, grad_bias
     return grad_x, grad_kernel, grad_bias
 
 

@@ -26,12 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import AffineCoupling, FlowConfig, FlowModel, NonFiniteError, prior_logprob
-from .latent import encode_batch
 from .numerics import Rng, read_exact, read_tensor_from, write_tensor_to
 
 CHECKPOINT_MAGIC = b"FSCK"
 CHECKPOINT_VERSION = 1
 METRICS_HEADER = "step,nats_per_dim,bits_per_dim,grad_norm,wall_ms"
+# training aborts after DIVERGENCE_PATIENCE consecutive losses above
+# DIVERGENCE_FACTOR times the first
+DIVERGENCE_FACTOR = 10.0
+DIVERGENCE_PATIENCE = 50
 
 
 class CheckpointError(ValueError):
@@ -78,25 +81,24 @@ class TrainConfig:
 # loss
 
 
-def nll(model: FlowModel, batch: np.ndarray) -> tuple[float, np.ndarray]:
-    """Negative mean log likelihood in nats per dimension.
-
-    Returns the scalar loss and the per-example ln p(x) values."""
-    _, lnp = encode_batch(model, batch)
-    return -float(np.mean(lnp)) / model.code_size, lnp
+def _loss(
+    model: FlowModel, batch: np.ndarray, init_actnorm: bool = False
+) -> tuple[float, list[np.ndarray], list]:
+    """The loss, -mean ln p(x) in nats/dim, with the code parts and the
+    backward cache of its forward pass."""
+    parts, logdet, cache = model.forward(
+        batch, want_cache=True, init_actnorm=init_actnorm
+    )
+    lnp = prior_logprob(model.flatten_parts(parts)) + logdet
+    return -float(np.mean(lnp)) / model.code_size, parts, cache
 
 
 def loss_and_grads(
     model: FlowModel, batch: np.ndarray, init_actnorm: bool = False
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """nll plus its exact gradient for every parameter."""
-    parts, logdet, cache = model.forward(
-        batch, want_cache=True, init_actnorm=init_actnorm
-    )
-    z = model.flatten_parts(parts)
-    lnp = prior_logprob(z) + logdet
+    """The loss plus its exact gradient for every parameter."""
+    loss, parts, cache = _loss(model, batch, init_actnorm)
     b, d = batch.shape[0], model.code_size
-    loss = -float(np.mean(lnp)) / d
     # dloss/dz = z / (B d), dloss/dlogdet = -1 / (B d)
     grad_parts = [p / (b * d) for p in parts]
     grad_logdet = np.full(b, -1.0 / (b * d))
@@ -167,13 +169,8 @@ def save_checkpoint(
     step: int,
     train_config: TrainConfig,
     initial_loss: float | None,
-    stats: tuple[float, float] | None = None,
 ) -> None:
-    """Write atomically: a temp file in the same directory, then rename.
-
-    `stats` carries the corpus log-magnitude normalization (mean, std)
-    so decoded spectrograms can be mapped back to magnitudes without
-    the corpus at hand."""
+    """Write atomically: a temp file in the same directory, then rename."""
     params = model.params()
     names = list(params)
     meta = {
@@ -181,11 +178,9 @@ def save_checkpoint(
         "adam_t": adam.t,
         "rng_state": rng_state,
         "initial_loss": initial_loss,
-        "stats": list(stats) if stats is not None else None,
         "flow_config": dataclasses.asdict(model.config),
         "train_config": dataclasses.asdict(train_config),
         "param_names": names,
-        "actnorms_initialized": model.actnorms_initialized,
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     tmp = f"{os.fspath(path)}.tmp"
@@ -211,7 +206,6 @@ class LoadedCheckpoint:
     step: int
     train_config: TrainConfig
     initial_loss: float | None
-    stats: tuple[float, float] | None
 
 
 def load_checkpoint(path: str | os.PathLike) -> LoadedCheckpoint:
@@ -235,14 +229,11 @@ def _read_checkpoint(path: str | os.PathLike) -> LoadedCheckpoint:
         model = FlowModel(FlowConfig(**{**flow, "input_shape": tuple(flow["input_shape"])}))
         names = meta["param_names"]
         model.set_params({name: read_tensor_from(fh) for name in names})
-        if meta["actnorms_initialized"]:
-            model.mark_actnorms_initialized()
         adam = AdamState(
             m={name: read_tensor_from(fh) for name in names},
             v={name: read_tensor_from(fh) for name in names},
             t=meta["adam_t"],
         )
-    stats = meta.get("stats")
     return LoadedCheckpoint(
         model=model,
         adam=adam,
@@ -250,7 +241,6 @@ def _read_checkpoint(path: str | os.PathLike) -> LoadedCheckpoint:
         step=meta["step"],
         train_config=TrainConfig(**meta["train_config"]),
         initial_loss=meta["initial_loss"],
-        stats=tuple(stats) if stats is not None else None,
     )
 
 
@@ -259,11 +249,10 @@ def _read_checkpoint(path: str | os.PathLike) -> LoadedCheckpoint:
 
 
 class DivergenceDetector:
-    """Flags NaN/Inf at once, or 50 consecutive losses above 10x the first."""
+    """Flags NaN/Inf at once, or DIVERGENCE_PATIENCE consecutive losses
+    above DIVERGENCE_FACTOR times the first."""
 
-    def __init__(self, factor: float = 10.0, patience: int = 50):
-        self.factor = factor
-        self.patience = patience
+    def __init__(self):
         self.initial: float | None = None
         self.streak = 0
 
@@ -274,11 +263,11 @@ class DivergenceDetector:
         if self.initial is None:
             self.initial = loss
             return False
-        if loss > self.factor * abs(self.initial):
+        if loss > DIVERGENCE_FACTOR * abs(self.initial):
             self.streak += 1
         else:
             self.streak = 0
-        return self.streak >= self.patience
+        return self.streak >= DIVERGENCE_PATIENCE
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +311,6 @@ def train_loop(
     config: TrainConfig,
     out_dir: str | os.PathLike,
     resume: LoadedCheckpoint | None = None,
-    stats: tuple[float, float] | None = None,
     comment: str | None = None,
     log=None,
 ) -> TrainResult:
@@ -333,9 +321,10 @@ def train_loop(
     Gaussian jitter.  Writes `metrics.csv` and a rolling
     `checkpoint.fsck` under `out_dir`; with `resume`, continues from the
     checkpoint's step and appends to the existing metrics file, cut back
-    to that step.
-    `stats` is embedded in checkpoints; `comment` becomes a `#` line at
-    the top of a fresh metrics file.
+    to that step.  A run without `resume` starts at step 1, whose batch
+    data-initializes every actnorm; pass a trained model only through
+    `resume`.  `comment` becomes a `#` line at the top of a fresh
+    metrics file.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 4 or data.shape[0] < 1:
@@ -355,8 +344,6 @@ def train_loop(
         adam = resume.adam
         start_step = resume.step
         detector.initial = resume.initial_loss
-        if stats is None:
-            stats = resume.stats
         if start_step >= config.steps:
             raise ValueError(
                 f"checkpoint is at step {start_step}, nothing left of {config.steps}"
@@ -379,9 +366,7 @@ def train_loop(
             if config.jitter > 0:
                 batch = batch + config.jitter * rng.standard_normal(batch.shape)
             try:
-                loss, grads = loss_and_grads(
-                    model, batch, init_actnorm=not model.actnorms_initialized
-                )
+                loss, grads = loss_and_grads(model, batch, init_actnorm=step == 1)
             except NonFiniteError:
                 loss = math.nan
             if detector.update(loss):
@@ -399,8 +384,7 @@ def train_loop(
             if step % config.checkpoint_every == 0 or step == config.steps:
                 metrics.flush()
                 save_checkpoint(
-                    ckpt_path, model, adam, rng.state, step, config,
-                    detector.initial, stats,
+                    ckpt_path, model, adam, rng.state, step, config, detector.initial
                 )
                 last_ckpt = ckpt_path
     return TrainResult(
@@ -452,9 +436,8 @@ class GradAuditReport:
 
 
 def _loss_and_masks(model: FlowModel, batch: np.ndarray) -> tuple[float, list]:
-    """`nll` loss and every coupling net's ReLU masks, from one forward."""
-    parts, logdet, cache = model.forward(batch, want_cache=True)
-    lnp = prior_logprob(model.flatten_parts(parts)) + logdet
+    """The loss and every coupling net's ReLU masks, from one forward."""
+    loss, _, cache = _loss(model, batch)
     masks = [
         layer_cache[key] > 0
         for level, level_cache in zip(model.layers, cache)
@@ -462,7 +445,7 @@ def _loss_and_masks(model: FlowModel, batch: np.ndarray) -> tuple[float, list]:
         if isinstance(layer, AffineCoupling)
         for key in ("a1", "a2")
     ]
-    return -float(np.mean(lnp)) / model.code_size, masks
+    return loss, masks
 
 
 def grad_audit(
@@ -474,7 +457,7 @@ def grad_audit(
 ) -> GradAuditReport:
     """Spot-check analytic gradients against central differences.
 
-    Comparisons happen on the summed log-likelihood scale (nll times
+    Comparisons happen on the summed log-likelihood scale (loss times
     batch size times dimension) so the relative-error floor is not
     dominated by the tiny per-dim gradients.  The report never raises
     on a failed tolerance; callers decide what to do with it.

@@ -95,7 +95,6 @@ def tiny_random_model(seed, levels=1, depth=1, size=4, width=4, batch=3):
             param += 0.5 * rng.standard_normal(param.shape)
     init = Rng(seed).spawn(3).standard_normal((batch, 1, size, size))
     model.forward(init, init_actnorm=True)
-    model.mark_actnorms_initialized()
     return model
 
 

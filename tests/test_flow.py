@@ -22,7 +22,6 @@ from vowelflow.flow import (
     FlowModel,
     InvConv,
     NonFiniteError,
-    UninitializedActNorm,
     prior_logprob,
     squeeze,
     unsqueeze,
@@ -87,7 +86,6 @@ class TestActNorm:
         layer = ActNorm(2)
         layer.log_scale = np.array([math.log(2.0), math.log(3.0)])
         layer.bias = np.array([1.0, -1.0])
-        layer.initialized = True
         x = Rng(0).standard_normal((1, 2, 3, 3))
         y, logdet, _ = layer.forward(x)
         npt.assert_allclose(y[0, 0], 2.0 * x[0, 0] + 1.0, rtol=1e-12)
@@ -98,7 +96,6 @@ class TestActNorm:
         layer = ActNorm(2)
         layer.log_scale = np.array([0.3, -0.7])
         layer.bias = np.array([0.1, 0.2])
-        layer.initialized = True
         x = Rng(1).standard_normal((2, 2, 2))
 
         def f(x0):
@@ -122,13 +119,13 @@ class TestActNorm:
         x = Rng(4).standard_normal((2, 2, 3, 3))
         npt.assert_allclose(layer.inverse(layer.forward(x)[0]), x, atol=1e-12)
 
-    def test_uninitialized_raises(self):
+    def test_fresh_layer_is_identity(self):
         layer = ActNorm(2)
-        x = np.zeros((1, 2, 2, 2))
-        with pytest.raises(UninitializedActNorm):
-            layer.forward(x)
-        with pytest.raises(UninitializedActNorm):
-            layer.inverse(x)
+        x = Rng(6).standard_normal((3, 2, 2, 2))
+        y, logdet, _ = layer.forward(x)
+        npt.assert_array_equal(y, x)
+        npt.assert_array_equal(logdet, np.zeros(3))
+        npt.assert_array_equal(layer.inverse(x), x)
 
     def test_backward_matches_fd(self):
         rng = Rng(5)
@@ -481,13 +478,24 @@ class TestModelBackward:
         layer_grads = [*coupling, "invconv.weight", "actnorm.bias", "actnorm.log_scale"]
         assert list(grads) == [f"{s}.{p}" for s in reversed(steps) for p in layer_grads]
 
-    def test_actnorm_init_marks_model(self):
-        model = FlowModel(tiny_config(), rng=Rng(36))
-        assert not model.actnorms_initialized
-        with pytest.raises(UninitializedActNorm):
-            model.forward(np.zeros((1, 1, 4, 4)))
-        model.forward(Rng(37).standard_normal((4, 1, 4, 4)), init_actnorm=True)
-        assert model.actnorms_initialized
+    def test_init_actnorm_sets_every_actnorm_from_its_batch(self):
+        cfg = FlowConfig(levels=2, depth=2, coupling_width=4, input_shape=(1, 8, 8))
+        model = FlowModel(cfg, rng=Rng(36))
+        actnorms = [layer for level in model.layers for _, layer in level
+                    if isinstance(layer, ActNorm)]
+        seen = []
+        for layer in actnorms:
+            layer.data_init = lambda h, f=layer.data_init: (seen.append(h), f(h))
+        # a second call sets them again: there is no once-only flag
+        for seed, scale in ((37, 3.0), (38, 0.5)):
+            seen.clear()
+            x = scale * Rng(seed).standard_normal((4, 1, 8, 8)) + 1.0
+            model.forward(x, init_actnorm=True)
+            assert len(seen) == len(actnorms)
+            for layer, h in zip(actnorms, seen):
+                y = layer.forward(h)[0]
+                npt.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
+                npt.assert_allclose(y.var(axis=(0, 2, 3)), 1.0, rtol=1e-8)
 
 
 class TestSetParams:

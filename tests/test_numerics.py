@@ -110,23 +110,23 @@ class TestInverse:
 class TestConv2d:
     def test_identity_kernel(self):
         rng = Rng(21)
-        x = randn(rng, (1, 5, 5))
+        x = randn(rng, (1, 1, 5, 5))
         k = np.ones((1, 1, 1, 1))
         np.testing.assert_allclose(conv2d(x, k, np.zeros(1)), x, atol=1e-15)
 
     def test_bias_only(self):
-        x = np.zeros((2, 4, 4))
+        x = np.zeros((1, 2, 4, 4))
         k = np.zeros((3, 2, 3, 3))
         y = conv2d(x, k, np.array([1.0, -2.0, 0.5]))
         for oc, c in enumerate([1.0, -2.0, 0.5]):
-            np.testing.assert_array_equal(y[oc], np.full((4, 4), c))
+            np.testing.assert_array_equal(y[0, oc], np.full((4, 4), c))
 
     def test_against_direct_oracle(self):
         rng = Rng(22)
-        x = randn(rng, (2, 4, 4))
+        x = randn(rng, (1, 2, 4, 4))
         k = randn(rng, (3, 2, 3, 3))
         b = randn(rng, (3,))
-        np.testing.assert_allclose(conv2d(x, k, b), conv2d_oracle(x, k, b), atol=1e-12)
+        np.testing.assert_allclose(conv2d(x, k, b)[0], conv2d_oracle(x[0], k, b), atol=1e-12)
 
     def test_batched_matches_per_image(self):
         rng = Rng(23)
@@ -135,12 +135,12 @@ class TestConv2d:
         b = randn(rng, (3,))
         y = conv2d(x, k, b)
         for i in range(4):
-            np.testing.assert_allclose(y[i], conv2d(x[i], k, b), atol=1e-13)
+            np.testing.assert_allclose(y[i], conv2d(x[i : i + 1], k, b)[0], atol=1e-13)
 
     def test_linear_in_input(self):
         rng = Rng(24)
-        x1 = randn(rng, (2, 6, 6))
-        x2 = randn(rng, (2, 6, 6))
+        x1 = randn(rng, (1, 2, 6, 6))
+        x2 = randn(rng, (1, 2, 6, 6))
         k = randn(rng, (2, 2, 3, 3))
         zero = np.zeros(2)
         lhs = conv2d(1.7 * x1 + x2, k, zero)
@@ -149,25 +149,25 @@ class TestConv2d:
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError):
-            conv2d(np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)), np.zeros(1))
+            conv2d(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 2, 2)), np.zeros(1))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            conv2d(np.zeros((3, 4, 4)), np.zeros((1, 2, 3, 3)), np.zeros(1))
+            conv2d(np.zeros((1, 3, 4, 4)), np.zeros((1, 2, 3, 3)), np.zeros(1))
 
 
 class TestConv2dBackward:
     def test_zero_cotangent(self):
         rng = Rng(31)
-        x = randn(rng, (2, 4, 4))
+        x = randn(rng, (1, 2, 4, 4))
         k = randn(rng, (3, 2, 3, 3))
-        gx, gk, gb = conv2d_backward(np.zeros((3, 4, 4)), x, k)
+        gx, gk, gb = conv2d_backward(np.zeros((1, 3, 4, 4)), x, k)
         assert not gx.any() and not gk.any() and not gb.any()
 
     def test_identity_kernel_passthrough(self):
         rng = Rng(32)
-        g = randn(rng, (1, 4, 4))
-        x = randn(rng, (1, 4, 4))
+        g = randn(rng, (1, 1, 4, 4))
+        x = randn(rng, (1, 1, 4, 4))
         gx, _, _ = conv2d_backward(g, x, np.ones((1, 1, 1, 1)))
         np.testing.assert_allclose(gx, g, atol=1e-15)
 
@@ -199,11 +199,11 @@ class TestConv2dBackward:
 
     def test_finite_differences(self):
         rng = Rng(33)
-        x = randn(rng, (2, 4, 4))
+        x = randn(rng, (1, 2, 4, 4))
         k = randn(rng, (3, 2, 3, 3))
         b = randn(rng, (3,))
         # scalar objective: weighted sum of outputs with fixed weights
-        w = randn(rng, (3, 4, 4))
+        w = randn(rng, (1, 3, 4, 4))
         self.check_finite_differences(x, k, b, w, probes=17)
 
     def test_batched_non_square_kernel(self):
@@ -214,9 +214,9 @@ class TestConv2dBackward:
         w = randn(rng, (3, 4, 5, 6))
         gx, gk, gb = self.check_finite_differences(x, k, b, w, probes=23)
 
-        per_image = [conv2d_backward(w[i], x[i], k) for i in range(3)]
+        per_image = [conv2d_backward(w[i : i + 1], x[i : i + 1], k) for i in range(3)]
         for i, (gx_i, _, _) in enumerate(per_image):
-            np.testing.assert_allclose(gx[i], gx_i, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(gx[i], gx_i[0], rtol=0, atol=1e-13)
         np.testing.assert_allclose(gk, sum(g for _, g, _ in per_image), rtol=0, atol=1e-12)
         np.testing.assert_allclose(gb, sum(g for _, _, g in per_image), rtol=0, atol=1e-12)
 
@@ -227,15 +227,24 @@ class TestConv2dBackward:
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            conv2d_backward(np.zeros((1, 4, 4)), np.zeros((3, 4, 4)), np.zeros((1, 2, 3, 3)))
+            conv2d_backward(
+                np.zeros((1, 1, 4, 4)), np.zeros((1, 3, 4, 4)), np.zeros((1, 2, 3, 3))
+            )
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError):
-            conv2d_backward(np.zeros((1, 4, 4)), np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)))
+            conv2d_backward(
+                np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 2, 2))
+            )
 
     def test_rank_two_input_rejected(self):
         with pytest.raises(ShapeError):
             conv2d_backward(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((1, 1, 3, 3)))
+        # a single (C, H, W) image is not a batch either
+        for op in (lambda x: conv2d(x, np.zeros((1, 1, 3, 3)), np.zeros(1)),
+                   lambda x: conv2d_backward(x, x, np.zeros((1, 1, 3, 3)))):
+            with pytest.raises(ShapeError):
+                op(np.zeros((1, 4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +360,6 @@ class TestTensorFormat:
     def test_all_values_finite_after_ops(self):
         rng = Rng(50)
         a = randn(rng, (6, 6)) + 2 * np.eye(6)
-        for out in (mat_inverse(a), conv2d(randn(rng, (1, 4, 4)),
+        for out in (mat_inverse(a), conv2d(randn(rng, (1, 1, 4, 4)),
                     randn(rng, (2, 1, 3, 3)), randn(rng, (2,)))):
             assert np.all(np.isfinite(out))

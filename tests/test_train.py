@@ -4,18 +4,23 @@ The Adam oracle is an independent scalar implementation driven step by
 step; checkpoint and resume behavior is validated byte for byte.
 """
 
+import json
 import math
 import os
+import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import make_identity_model, make_random_model, tiny_config
+from vowelflow import train
 from vowelflow.flow import LN_2PI, FlowConfig
+from vowelflow.latent import encode_batch
 from vowelflow.numerics import Rng
 from vowelflow.train import (
     CHECKPOINT_MAGIC,
+    DIVERGENCE_PATIENCE,
     METRICS_HEADER,
     AdamState,
     CheckpointError,
@@ -30,7 +35,6 @@ from vowelflow.train import (
     grad_audit,
     load_checkpoint,
     loss_and_grads,
-    nll,
     save_checkpoint,
     train_loop,
 )
@@ -57,6 +61,13 @@ def read_metrics(path):
 
 def strip_wall(path):
     return [row[:4] for row in read_metrics(path)]
+
+
+def nll(model, x):
+    """The loss by the inference path: -mean ln p(x) per dimension, and
+    the per-example ln p(x)."""
+    _, lnp = encode_batch(model, x)
+    return -float(np.mean(lnp)) / model.code_size, lnp
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +130,6 @@ class TestNll:
         layer = ActNorm(1)
         layer.log_scale = np.array([0.4])
         layer.bias = np.array([-0.7])
-        layer.initialized = True
         xs = np.linspace(-30.0, 30.0, 20001)
         batch = xs.reshape(-1, 1, 1, 1)
         y, logdet, _ = layer.forward(batch)
@@ -243,9 +253,12 @@ class TestDivergenceDetector:
         assert det.update(11.0)
 
     def test_factor_is_relative_to_first_loss(self):
-        det = DivergenceDetector(patience=1)
+        det = DivergenceDetector()
         det.update(3.0)
-        assert not det.update(29.0)
+        for _ in range(2 * DIVERGENCE_PATIENCE):
+            assert not det.update(29.0)
+        for _ in range(DIVERGENCE_PATIENCE - 1):
+            assert not det.update(31.0)
         assert det.update(31.0)
 
 
@@ -264,7 +277,7 @@ class TestCheckpoint:
         rng.standard_normal(17)
         path = tmp_path / "model.fsck"
         cfg = small_train_config()
-        save_checkpoint(path, model, adam, rng.state, 42, cfg, 1.25, (-6.0, 3.0))
+        save_checkpoint(path, model, adam, rng.state, 42, cfg, 1.25)
         return path, model, adam, rng, cfg
 
     def test_magic_and_version(self, tmp_path):
@@ -278,7 +291,6 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.step == 42
         assert loaded.initial_loss == 1.25
-        assert loaded.stats == (-6.0, 3.0)
         assert loaded.train_config == cfg
         assert loaded.model.config == model.config
         assert loaded.adam.t == 3
@@ -305,6 +317,34 @@ class TestCheckpoint:
         path.write_bytes(CHECKPOINT_MAGIC + (99).to_bytes(4, "little") + b"\x00" * 8)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_older_header_keys_load_and_resume(self, tmp_path):
+        # checkpoints used to carry the corpus stats and an actnorm flag in
+        # their header; the reader ignores both, so such files still resume
+        data = structured_data()
+        half = small_train_config(steps=4, checkpoint_every=4)
+        full = small_train_config(steps=8, checkpoint_every=4)
+        metrics = {}
+        for name in ("current", "older"):
+            out = tmp_path / name
+            train_loop(build_model(tiny_config(), half.seed), data, half, out)
+            path = out / "checkpoint.fsck"
+            raw = path.read_bytes()
+            (length,) = struct.unpack("<Q", raw[8:16])
+            meta = json.loads(raw[16 : 16 + length])
+            assert not {"stats", "actnorms_initialized"} & set(meta)
+            if name == "older":
+                meta.update(stats=[-6.0, 3.0], actnorms_initialized=True)
+                blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+                path.write_bytes(
+                    raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length :]
+                )
+            loaded = load_checkpoint(path)
+            assert loaded.step == 4
+            train_loop(loaded.model, data, full, out, resume=loaded)
+            metrics[name] = strip_wall(out / "metrics.csv")
+        assert len(metrics["older"]) == 8
+        assert metrics["older"] == metrics["current"]
 
     def test_every_truncation_rejected(self, tmp_path):
         path, *_ = self._saved(tmp_path)
@@ -437,27 +477,30 @@ class TestTrainLoop:
         assert result.final_loss == result.losses[-1]
         assert os.path.exists(result.checkpoint_path)
 
-    def test_stats_and_comment_are_embedded(self, tmp_path):
+    def test_comment_heads_metrics(self, tmp_path):
         cfg = small_train_config(steps=4, checkpoint_every=4)
         model = build_model(tiny_config(), cfg.seed)
         result = train_loop(
-            model, structured_data(), cfg, tmp_path,
-            stats=(-5.5, 2.5), comment="config echo line",
+            model, structured_data(), cfg, tmp_path, comment="config echo line"
         )
-        assert load_checkpoint(result.checkpoint_path).stats == (-5.5, 2.5)
         with open(result.metrics_path, encoding="utf-8") as fh:
             assert fh.readline() == "# config echo line\n"
 
-    def test_resume_preserves_stats(self, tmp_path):
-        cfg = small_train_config(steps=4, checkpoint_every=2)
-        model = build_model(tiny_config(), cfg.seed)
-        half = small_train_config(steps=2, checkpoint_every=2)
-        train_loop(model, structured_data(), half, tmp_path, stats=(-1.0, 2.0))
+    def test_only_step_one_data_initializes(self, tmp_path, monkeypatch):
+        flags = []
+        real = train.loss_and_grads
+
+        def spy(model, batch, init_actnorm=False):
+            flags.append(init_actnorm)
+            return real(model, batch, init_actnorm)
+
+        monkeypatch.setattr(train, "loss_and_grads", spy)
+        data = structured_data()
+        half = small_train_config(steps=4)
+        train_loop(build_model(tiny_config(), half.seed), data, half, tmp_path)
         loaded = load_checkpoint(tmp_path / "checkpoint.fsck")
-        result = train_loop(
-            loaded.model, structured_data(), cfg, tmp_path, resume=loaded
-        )
-        assert load_checkpoint(result.checkpoint_path).stats == (-1.0, 2.0)
+        train_loop(loaded.model, data, small_train_config(steps=8), tmp_path, resume=loaded)
+        assert flags == [True] + [False] * 7
 
 
 # ---------------------------------------------------------------------------
