@@ -229,6 +229,8 @@ def parse_sweep(text: str):
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"bad sweep {text!r}: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"bad sweep {text!r}: values must be finite")
     if len(values) == 1:
         return np.array(values)
     if len(values) != 3:
@@ -325,15 +327,14 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     manifest, load = _inputs(args, out)
     pixels = load(_split_indices(manifest, "train"))
 
-    train_config = cfg.train_config()
+    flow_config, train_config = cfg.flow_config(), cfg.train_config()
     resume = None
     if args.resume is not None:
         resume = load_checkpoint(args.resume)
-        model = resume.model
-        saved = {"flow": model.config, "train": resume.train_config}
-        now = {"flow": cfg.flow_config(), "train": train_config}
+        saved = {"flow": resume.model.config, "train": resume.train_config}
+        now = {"flow": flow_config, "train": train_config}
         changed = [
-            f"{section}.{key}"
+            key if key == "seed" else f"{section}.{key}"
             for section, config in saved.items()
             for key, value in dataclasses.asdict(config).items()
             if key != "steps" and value != getattr(now[section], key)
@@ -343,11 +344,9 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
                 f"--resume: {', '.join(changed)} differ from the checkpoint "
                 "(only train.steps may change)"
             )
-    else:
-        model = build_model(cfg.flow_config(), cfg.seed)
 
     result = train_loop(
-        model,
+        build_model(flow_config, cfg.seed),
         pixels,
         train_config,
         out,
@@ -415,9 +414,9 @@ def cmd_sample(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_interpolate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
+    alphas = parse_sweep(args.alphas)
     manifest, load = _inputs(args, out)
     model = _model(args, out)
-    alphas = parse_sweep(args.alphas)
 
     ia = _find_segment(manifest, args.a, noisy=False)
     ib = _find_segment(manifest, args.b, noisy=False)
@@ -439,9 +438,9 @@ def cmd_interpolate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_denoise(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
+    betas = parse_sweep(args.beta_sweep)
     manifest, load = _inputs(args, out)
     model = _model(args, out)
-    betas = parse_sweep(args.beta_sweep)
 
     pairs = manifest.clean_noisy_pairs()
     if not pairs:
@@ -544,6 +543,8 @@ def cmd_lda(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_gauss_report(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
+    if args.dims < 1:
+        raise UsageError(f"--dims must be at least 1, got {args.dims}")
     manifest, load = _inputs(args, out)
     model = _model(args, out)
     pixels = load(_split_indices(manifest, args.split))
@@ -552,7 +553,7 @@ def cmd_gauss_report(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int
     rng = Rng(cfg.seed)
 
     def pick_dims(total: int, stream: Rng):
-        if args.dims is None or args.dims >= total:
+        if args.dims >= total:
             return None
         return np.sort(stream.permutation(total)[: args.dims])
 

@@ -1,10 +1,11 @@
 """Invertible multi-scale flow: actnorm, 1x1 invertible convolution,
 affine coupling, squeeze and split, with exact log-determinants.
 
-Forward maps an image x to latent parts plus the accumulated
-log |det dz/dx|; inverse reconstructs x exactly.  Every layer also
-implements a hand-derived reverse-mode `backward` so the model can be
-trained by exact maximum likelihood without an autodiff framework.
+Forward maps a batch of images x to its (B, d) code z plus the
+accumulated log |det dz/dx|; inverse reconstructs x exactly from z.
+Every layer also implements a hand-derived reverse-mode `backward` so
+the model can be trained by exact maximum likelihood without an
+autodiff framework.
 
 Every layer (`ActNorm`, `InvConv`, `AffineCoupling`) keeps one contract:
 
@@ -15,7 +16,9 @@ Every layer (`ActNorm`, `InvConv`, `AffineCoupling`) keeps one contract:
   ``grads`` keyed like ``params()``.
 
 `FlowModel` holds each level's layers as one flat list of
-``(name, layer)`` pairs, so a layer's name is made in one place.
+``(name, layer)`` pairs, so a layer's name is made in one place.  The
+halves split off at each level are concatenated into z; only
+`FlowModel` knows that layout.
 
 Shape convention: tensors are batched, (B, C, H, W).
 """
@@ -78,7 +81,6 @@ class FlowConfig:
 class CodePart:
     """One multi-scale split output inside the flattened code vector."""
 
-    level: int
     shape: tuple[int, int, int]
     offset: int
 
@@ -315,7 +317,7 @@ class FlowModel:
                 ]
             self.layers.append(named)
             out_c = c if level == config.levels - 1 else c // 2
-            parts.append(CodePart(level=level, shape=(out_c, size, size), offset=offset))
+            parts.append(CodePart(shape=(out_c, size, size), offset=offset))
             offset += out_c * size * size
             c //= 2
         self._layout = tuple(parts)
@@ -345,9 +347,6 @@ class FlowModel:
                 raise ShapeError(f"{name}: shape {arr.shape} != {target.shape}")
             target[...] = arr
 
-    def layout(self) -> tuple[CodePart, ...]:
-        return self._layout
-
     # -- forward / inverse ---------------------------------------------------
 
     def check_input(self, x: np.ndarray) -> np.ndarray:
@@ -359,10 +358,17 @@ class FlowModel:
             )
         return x
 
+    def check_code(self, z: np.ndarray) -> np.ndarray:
+        """z as a float64 (B, d) batch of codes of the model's length d."""
+        z = np.asarray(z, dtype=np.float64)
+        if z.ndim != 2 or z.shape[1] != self.code_size:
+            raise ShapeError(f"expected (B, {self.code_size}) codes, got {z.shape}")
+        return z
+
     def forward(
         self, x: np.ndarray, want_cache: bool = False, init_actnorm: bool = False
-    ) -> tuple[list[np.ndarray], np.ndarray, list | None]:
-        """x -> (code parts, per-example logdet, optional backward cache).
+    ) -> tuple[np.ndarray, np.ndarray, list | None]:
+        """x -> ((B, d) code, per-example logdet, optional backward cache).
 
         The cache holds, per level, each layer's cache in layer order.
         With `init_actnorm`, every actnorm is first data-initialized from
@@ -392,14 +398,11 @@ class FlowModel:
                 parts.append(h[:, : h.shape[1] // 2])
                 h = h[:, h.shape[1] // 2:]
             cache.append(level_cache)
-        return parts, logdet, (cache if want_cache else None)
+        return self.flatten_parts(parts), logdet, (cache if want_cache else None)
 
-    def inverse(self, parts: list[np.ndarray]) -> np.ndarray:
-        """Exact inverse of forward: code parts -> x."""
-        expected = [p.shape for p in self._layout]
-        got = [p.shape[1:] for p in parts]
-        if got != expected:
-            raise ShapeError(f"part shapes {got} do not match layout {expected}")
+    def inverse(self, z: np.ndarray) -> np.ndarray:
+        """Exact inverse of forward: (B, d) code -> x."""
+        parts = self.unflatten_code(z)
         h = None
         for li in range(len(self.layers) - 1, -1, -1):
             h = parts[li] if h is None else np.concatenate([parts[li], h], axis=1)
@@ -409,20 +412,19 @@ class FlowModel:
         return h
 
     def backward(
-        self, cache: list, grad_parts: list[np.ndarray], grad_logdet: np.ndarray
+        self, cache: list, grad_z: np.ndarray, grad_logdet: np.ndarray
     ) -> dict[str, np.ndarray]:
         """Reverse-mode gradients for every parameter.
 
-        `grad_parts` are cotangents of the code parts, `grad_logdet`
-        the per-example cotangent of the accumulated logdet.
+        `grad_z` is the (B, d) cotangent of the code, `grad_logdet` the
+        per-example cotangent of the accumulated logdet.
         """
+        grad_parts = self.unflatten_code(grad_z)
         grads: dict[str, np.ndarray] = {}
         grad_h = None
         for li in range(len(self.layers) - 1, -1, -1):
-            if grad_h is None:
-                grad_h = grad_parts[li]
-            else:
-                grad_h = np.concatenate([grad_parts[li], grad_h], axis=1)
+            g = grad_parts[li]
+            grad_h = g if grad_h is None else np.concatenate([g, grad_h], axis=1)
             for (name, layer), layer_cache in zip(
                 reversed(self.layers[li]), reversed(cache[li])
             ):
@@ -435,15 +437,12 @@ class FlowModel:
     # -- code packing --------------------------------------------------------
 
     def flatten_parts(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Per-level split outputs -> their (B, d) code, level 0 first."""
         b = parts[0].shape[0]
         return np.concatenate([p.reshape(b, -1) for p in parts], axis=1)
 
     def unflatten_code(self, z: np.ndarray) -> list[np.ndarray]:
-        z = np.asarray(z, dtype=np.float64)
-        if z.ndim == 1:
-            z = z[None]
-        if z.shape[1] != self.code_size:
-            raise ShapeError(f"code length {z.shape[1]} != {self.code_size}")
+        z = self.check_code(z)
         return [
             z[:, p.offset : p.offset + p.size].reshape(z.shape[0], *p.shape)
             for p in self._layout

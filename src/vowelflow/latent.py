@@ -57,8 +57,7 @@ def encode_batch(model: FlowModel, pixels: np.ndarray) -> tuple[np.ndarray, np.n
     z = np.empty((n, model.code_size))
     lnp = np.empty(n)
     for i in range(0, n, k):
-        parts, logdet, _ = model.forward(pixels[i : i + k])
-        z[i : i + k] = model.flatten_parts(parts)
+        z[i : i + k], logdet, _ = model.forward(pixels[i : i + k])
         lnp[i : i + k] = prior_logprob(z[i : i + k]) + logdet
     return z, lnp
 
@@ -66,11 +65,11 @@ def encode_batch(model: FlowModel, pixels: np.ndarray) -> tuple[np.ndarray, np.n
 def decode_batch(model: FlowModel, z: np.ndarray) -> np.ndarray:
     """Codes (N, d) -> pixels; the exact inverse of encoding, chunked
     like `encode_batch`."""
-    parts = model.unflatten_code(z)
-    n, k = parts[0].shape[0], chunk_rows(model.config)
+    z = model.check_code(z)
+    n, k = z.shape[0], chunk_rows(model.config)
     out = np.empty((n, *model.config.input_shape))
     for i in range(0, n, k):
-        out[i : i + k] = model.inverse([p[i : i + k] for p in parts])
+        out[i : i + k] = model.inverse(z[i : i + k])
     return out
 
 
@@ -404,8 +403,6 @@ def write_pgm(path: str | os.PathLike, image: np.ndarray) -> None:
 def write_image_strip(path: str | os.PathLike, images: np.ndarray) -> None:
     """Horizontal strip of equally sized images in one PGM, shared scale."""
     imgs = np.asarray(images, dtype=np.float64)
-    if imgs.ndim == 4 and imgs.shape[1] == 1:
-        imgs = imgs[:, 0]
     if imgs.ndim != 3:
         raise ShapeError(f"need (N, H, W) images, got shape {images.shape}")
     strip = np.concatenate(list(imgs), axis=1)

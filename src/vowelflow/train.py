@@ -83,26 +83,22 @@ class TrainConfig:
 
 def _loss(
     model: FlowModel, batch: np.ndarray, init_actnorm: bool = False
-) -> tuple[float, list[np.ndarray], list]:
-    """The loss, -mean ln p(x) in nats/dim, with the code parts and the
+) -> tuple[float, np.ndarray, list]:
+    """The loss, -mean ln p(x) in nats/dim, with the code and the
     backward cache of its forward pass."""
-    parts, logdet, cache = model.forward(
-        batch, want_cache=True, init_actnorm=init_actnorm
-    )
-    lnp = prior_logprob(model.flatten_parts(parts)) + logdet
-    return -float(np.mean(lnp)) / model.code_size, parts, cache
+    z, logdet, cache = model.forward(batch, want_cache=True, init_actnorm=init_actnorm)
+    lnp = prior_logprob(z) + logdet
+    return -float(np.mean(lnp)) / model.code_size, z, cache
 
 
 def loss_and_grads(
     model: FlowModel, batch: np.ndarray, init_actnorm: bool = False
 ) -> tuple[float, dict[str, np.ndarray]]:
     """The loss plus its exact gradient for every parameter."""
-    loss, parts, cache = _loss(model, batch, init_actnorm)
+    loss, z, cache = _loss(model, batch, init_actnorm)
     b, d = batch.shape[0], model.code_size
     # dloss/dz = z / (B d), dloss/dlogdet = -1 / (B d)
-    grad_parts = [p / (b * d) for p in parts]
-    grad_logdet = np.full(b, -1.0 / (b * d))
-    grads = model.backward(cache, grad_parts, grad_logdet)
+    grads = model.backward(cache, z / (b * d), np.full(b, -1.0 / (b * d)))
     return loss, grads
 
 
@@ -319,12 +315,12 @@ def train_loop(
     `data` is a (N, C, H, W) array of normalized spectrogram pixels.
     Each step samples a batch uniformly with replacement and adds
     Gaussian jitter.  Writes `metrics.csv` and a rolling
-    `checkpoint.fsck` under `out_dir`; with `resume`, continues from the
-    checkpoint's step and appends to the existing metrics file, cut back
-    to that step.  A run without `resume` starts at step 1, whose batch
-    data-initializes every actnorm; pass a trained model only through
-    `resume`.  `comment` becomes a `#` line at the top of a fresh
-    metrics file.
+    `checkpoint.fsck` under `out_dir`; with `resume`, `model` takes the
+    checkpoint's parameters (a model of another architecture raises)
+    and continues from its step, appending to the existing metrics file
+    cut back to that step.  A run without `resume` starts at step 1,
+    whose batch data-initializes every actnorm.  `comment` becomes a `#`
+    line at the top of a fresh metrics file.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 4 or data.shape[0] < 1:
@@ -340,6 +336,7 @@ def train_loop(
         start_step = 0
         mode = "w"
     else:
+        model.set_params(resume.model.params())
         rng.state = resume.rng_state
         adam = resume.adam
         start_step = resume.step

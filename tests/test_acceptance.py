@@ -102,8 +102,8 @@ class TestAcceptance:
     def test_criterion_01_bijection(self, desk_runs):
         model = model_for(desk_runs[0])
         x = Rng(123).standard_normal((100, 1, 32, 32))
-        parts, _, _ = model.forward(x)
-        back = model.inverse(parts)
+        z, _, _ = model.forward(x)
+        back = model.inverse(z)
         err = float(np.abs(back - x).max())
         summarize("bijection", err <= 1e-8, f"max |decode(encode(x)) - x| = {err:.3e}")
 
@@ -120,8 +120,8 @@ class TestAcceptance:
                 step[j] = h
                 xp = x + step.reshape(1, 1, 4, 4)
                 xm = x - step.reshape(1, 1, 4, 4)
-                zp = model.flatten_parts(model.forward(xp)[0])[0]
-                zm = model.flatten_parts(model.forward(xm)[0])[0]
+                zp = model.forward(xp)[0][0]
+                zm = model.forward(xm)[0][0]
                 jac[:, j] = (zp - zm) / (2 * h)
             _, fd_logdet = np.linalg.slogdet(jac)
             rel = abs(fd_logdet - logdet[0]) / max(1.0, abs(fd_logdet))

@@ -324,6 +324,22 @@ class TestExitCodes:
         rc = run(pipeline, "interpolate", "--a", "nope", "--b", "spk00_aa_000")
         assert rc == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("dims", ["0", "-5"])
+    def test_gauss_report_dims_below_one_is_usage_error(self, tmp_path, capsys, dims):
+        # rejected before any load: the empty out-dir holds no corpus
+        assert run(tmp_path, "gauss-report", "--dims", dims) == EXIT_USAGE
+        assert "--dims" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["interpolate", "--a", "x", "--b", "y", "--alphas", "nan"],
+                 ["denoise", "--beta-sweep", "0:inf:1"]],
+    )
+    def test_non_finite_sweep_is_usage_error(self, tmp_path, capsys, argv):
+        # rejected before any load or write: the out-dir holds no corpus
+        assert run(tmp_path, *argv) == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "usage" in capsys.readouterr().out.lower()
@@ -371,6 +387,11 @@ class TestSweepParsing:
     def test_non_numeric_rejected(self):
         with pytest.raises(UsageError):
             parse_sweep("a:b:c")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "0:inf:1", "0:1:nan"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(UsageError, match="finite"):
+            parse_sweep(text)
 
 
 class TestConfigMerging:
@@ -630,6 +651,14 @@ class TestResume:
         assert rc == EXIT_USAGE
         assert flag[2:] in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
+
+    def test_changed_seed_names_the_flag(self, pipeline, tmp_path, capsys):
+        checkpoint = str(pipeline / "checkpoint.fsck")
+        rc = run(tmp_path, "train", "--data", str(pipeline), "--resume", checkpoint,
+                 "--train.steps", "14", "--seed", "6")
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--resume: seed differ" in err and "train.seed" not in err
 
 
 class TestDeterminism:

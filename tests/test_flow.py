@@ -17,7 +17,6 @@ from vowelflow.flow import (
     LN_2PI,
     ActNorm,
     AffineCoupling,
-    CodePart,
     FlowConfig,
     FlowModel,
     InvConv,
@@ -341,13 +340,12 @@ class TestFlowConfig:
 class TestModelLayout:
     def test_desk_layout(self):
         model = FlowModel(FlowConfig())
-        layout = model.layout()
-        assert layout == (
-            CodePart(level=0, shape=(2, 16, 16), offset=0),
-            CodePart(level=1, shape=(4, 8, 8), offset=512),
-            CodePart(level=2, shape=(16, 4, 4), offset=768),
-        )
         assert model.code_size == 1024
+        z = np.arange(2.0 * model.code_size).reshape(2, -1)
+        parts = model.unflatten_code(z)
+        assert [p.shape for p in parts] == [(2, 2, 16, 16), (2, 4, 8, 8), (2, 16, 4, 4)]
+        # level parts sit at offsets 0, 512 and 768, level 0 first
+        assert [p[0].reshape(-1)[0] for p in parts] == [0.0, 512.0, 768.0]
 
     def test_code_size_preserves_dimension(self):
         for cfg in [FlowConfig(), tiny_config(), FlowConfig(levels=2, input_shape=(1, 16, 16))]:
@@ -359,31 +357,42 @@ class TestModelLayout:
         model = make_identity_model()
         z = Rng(24).standard_normal((3, model.code_size))
         parts = model.unflatten_code(z)
-        assert [p.shape[1:] for p in parts] == [p.shape for p in model.layout()]
         npt.assert_array_equal(model.flatten_parts(parts), z)
 
     def test_wrong_code_length_rejected(self):
         model = make_identity_model(tiny_config())
+        for bad in (np.zeros((1, 17)), np.zeros(16), np.zeros((1, 1, 16))):
+            with pytest.raises(ShapeError):
+                model.unflatten_code(bad)
+            with pytest.raises(ShapeError):
+                model.inverse(bad)
+        assert model.check_code([[0] * 16]).dtype == np.float64
+
+    def test_decode_rejects_single_code(self):
+        # one code is a (1, d) batch; a bare (d,) vector is not promoted
+        model = make_identity_model(tiny_config())
+        z, _ = encode_batch(model, Rng(23).standard_normal((2, 1, 4, 4)))
         with pytest.raises(ShapeError):
-            model.unflatten_code(np.zeros(17))
+            decode_batch(model, z[0])
+        assert decode_batch(model, z[:1]).shape == (1, 1, 4, 4)
 
 
 class TestIdentityModel:
     def test_code_is_permutation_with_zero_logdet(self):
         model = make_identity_model()
         x = np.arange(1024.0).reshape(1, 1, 32, 32)
-        parts, logdet, _ = model.forward(x)
-        flat = model.flatten_parts(parts)[0]
+        z, logdet, _ = model.forward(x)
+        flat = z[0]
         npt.assert_array_equal(logdet, 0.0)
         npt.assert_array_equal(np.sort(flat), np.arange(1024.0))
 
     def test_permutation_is_fixed(self):
         model = make_identity_model()
         base = np.arange(1024.0).reshape(1, 1, 32, 32)
-        flat = model.flatten_parts(model.forward(base)[0])[0]
+        flat = model.forward(base)[0][0]
         perm = flat.astype(int)
         x = Rng(25).standard_normal((2, 1, 32, 32))
-        got = model.flatten_parts(model.forward(x)[0])
+        got = model.forward(x)[0]
         npt.assert_array_equal(got, x.reshape(2, -1)[:, perm])
 
 
@@ -392,28 +401,27 @@ class TestModelForwardInverse:
         cfg = FlowConfig(levels=2, depth=2, coupling_width=8, input_shape=(1, 8, 8))
         model = make_random_model(cfg, seed=26, perturb_coupling=0.3)
         x = Rng(27).standard_normal((3, 1, 8, 8))
-        parts, logdet, _ = model.forward(x)
-        npt.assert_allclose(model.inverse(parts), x, atol=1e-10)
+        z, logdet, _ = model.forward(x)
+        assert z.shape == (3, model.code_size)
+        npt.assert_allclose(model.inverse(z), x, atol=1e-10)
         assert np.all(np.isfinite(logdet))
 
     def test_batch_matches_per_example(self):
         cfg = tiny_config()
         model = make_random_model(cfg, seed=28, perturb_coupling=0.3)
         x = Rng(29).standard_normal((3, 1, 4, 4))
-        parts_b, logdet_b, _ = model.forward(x)
+        z_b, logdet_b, _ = model.forward(x)
         for i in range(3):
-            parts_i, logdet_i, _ = model.forward(x[i : i + 1])
+            z_i, logdet_i, _ = model.forward(x[i : i + 1])
             npt.assert_allclose(logdet_b[i], logdet_i[0], rtol=1e-12)
-            for pb, pi in zip(parts_b, parts_i):
-                npt.assert_allclose(pb[i], pi[0], rtol=1e-12, atol=1e-14)
+            npt.assert_allclose(z_b[i], z_i[0], rtol=1e-12, atol=1e-14)
 
     def test_logdet_matches_numerical_jacobian(self):
         model = make_random_model(tiny_config(), seed=30, perturb_coupling=0.4)
         x = Rng(31).standard_normal((1, 4, 4))
 
         def f(x0):
-            parts, _, _ = model.forward(x0[None])
-            return model.flatten_parts(parts)[0]
+            return model.forward(x0[None])[0][0]
 
         _, logdet, _ = model.forward(x[None])
         npt.assert_allclose(logdet[0], numerical_logdet(f, x), rtol=1e-5)
@@ -423,7 +431,7 @@ class TestModelForwardInverse:
         x = Rng(33).standard_normal((1, 1, 4, 4))
         z, lnp = encode_batch(model, x)
         assert z.shape == (1, 16) and lnp.shape == (1,)
-        parts, logdet, _ = model.forward(x)
+        _, logdet, _ = model.forward(x)
         npt.assert_allclose(lnp, prior_logprob(z) + logdet, rtol=1e-12)
         npt.assert_allclose(decode_batch(model, z), x, atol=1e-10)
 
@@ -432,7 +440,7 @@ class TestModelForwardInverse:
         with pytest.raises(ShapeError):
             model.forward(np.zeros((1, 1, 8, 8)))
         with pytest.raises(ShapeError):
-            model.inverse([np.zeros((1, 2, 3, 3))])
+            model.inverse(np.zeros((1, 2, 3, 3)))
 
     def test_non_finite_layer_reported(self):
         for param, value, index, name in (
@@ -452,14 +460,11 @@ class TestModelBackward:
         x = Rng(35).standard_normal((2, 1, 4, 4))
 
         def loss():
-            parts, logdet, _ = model.forward(x)
-            z = model.flatten_parts(parts)
+            z, logdet, _ = model.forward(x)
             return float(np.sum(prior_logprob(z) + logdet))
 
-        parts, logdet, cache = model.forward(x, want_cache=True)
-        grad_parts = [-p for p in parts]
-        grad_logdet = np.ones(x.shape[0])
-        grads = model.backward(cache, grad_parts, grad_logdet)
+        z, logdet, cache = model.forward(x, want_cache=True)
+        grads = model.backward(cache, -z, np.ones(x.shape[0]))
         assert set(grads) == set(model.params())
         check_grads_fd(loss, model.params(), grads, tol=2e-6)
 
@@ -473,8 +478,8 @@ class TestModelBackward:
         layer_params = ["actnorm.log_scale", "actnorm.bias", "invconv.weight", *coupling]
         assert list(model.params()) == [f"{s}.{p}" for s in steps for p in layer_params]
 
-        parts, _, cache = model.forward(np.ones((1, 1, 8, 8)), want_cache=True)
-        grads = model.backward(cache, parts, np.ones(1))
+        z, _, cache = model.forward(np.ones((1, 1, 8, 8)), want_cache=True)
+        grads = model.backward(cache, z, np.ones(1))
         layer_grads = [*coupling, "invconv.weight", "actnorm.bias", "actnorm.log_scale"]
         assert list(grads) == [f"{s}.{p}" for s in reversed(steps) for p in layer_grads]
 

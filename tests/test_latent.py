@@ -91,15 +91,12 @@ class TestChunking:
     @pytest.mark.parametrize("n", [1, K - 1, K, K + 1, 2 * K + 3])
     def test_equal_to_one_call(self, model, n):
         x = Rng(n).standard_normal((n, *CHUNK_CONFIG.input_shape))
-        parts, logdet, _ = model.forward(x)
-        z_ref = model.flatten_parts(parts)
+        z_ref, logdet, _ = model.forward(x)
         z, lnp = encode_batch(model, x)
         npt.assert_array_equal(z, z_ref)
         npt.assert_array_equal(lnp, prior_logprob(z_ref) + logdet)
         codes = Rng(100 + n).standard_normal((n, model.code_size))
-        npt.assert_array_equal(
-            decode_batch(model, codes), model.inverse(model.unflatten_code(codes))
-        )
+        npt.assert_array_equal(decode_batch(model, codes), model.inverse(codes))
 
     def test_no_call_exceeds_chunk(self, model, monkeypatch):
         rows = []
@@ -109,9 +106,9 @@ class TestChunking:
             rows.append(len(x))
             return forward(self, x, *args, **kwargs)
 
-        def spy_inverse(self, parts):
-            rows.append(len(parts[0]))
-            return inverse(self, parts)
+        def spy_inverse(self, z):
+            rows.append(len(z))
+            return inverse(self, z)
 
         monkeypatch.setattr(FlowModel, "forward", spy_forward)
         monkeypatch.setattr(FlowModel, "inverse", spy_inverse)
@@ -522,11 +519,13 @@ class TestExports:
 
     def test_image_strip_layout(self, tmp_path):
         path = tmp_path / "strip.pgm"
-        imgs = Rng(28).standard_normal((3, 1, 4, 4))
+        imgs = Rng(28).standard_normal((3, 4, 4))
         write_image_strip(path, imgs)
         data = path.read_bytes()
         assert data.startswith(b"P5\n12 4\n255\n")
         assert len(data) - len(b"P5\n12 4\n255\n") == 48
+        with pytest.raises(ShapeError):
+            write_image_strip(path, imgs[:, None])
 
     def test_csv_exact_bytes(self, tmp_path):
         path = tmp_path / "vals.csv"

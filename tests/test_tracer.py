@@ -45,9 +45,9 @@ def test_model_spans_recorded(tracer):
     model = make_random_model(cfg, seed=3, perturb_coupling=0.3)
     x = np.random.default_rng(4).standard_normal((2, 1, 8, 8))
     tracer.open_stage("step")
-    parts, _, cache = model.forward(x, want_cache=True)
-    model.backward(cache, [-p for p in parts], np.ones(2))
-    model.inverse(model.unflatten_code(model.flatten_parts(parts)))
+    z, _, cache = model.forward(x, want_cache=True)
+    model.backward(cache, -z, np.ones(2))
+    model.inverse(z)
     tracer.close_stage(wall=1.0)
 
     summary = tracer.summary()
@@ -56,6 +56,9 @@ def test_model_spans_recorded(tracer):
         for kind in ("fwd", "inv", "bwd"):
             assert calls[f"flow.{layer}.{kind}"] == cfg.levels * cfg.depth
     assert calls["flow.model"] == 3
+    # forward: two squeezes and one flatten; backward and inverse: one
+    # unflatten and two unsqueezes each
+    assert calls["flow.squeeze"] == 9
     assert summary["counts"]["flow.model.cache_bytes"] > 0
     assert summary["counts"]["numerics.conv2d.gflop"] > 0
     assert not summary["errors"]

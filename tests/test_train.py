@@ -17,7 +17,7 @@ from conftest import make_identity_model, make_random_model, tiny_config
 from vowelflow import train
 from vowelflow.flow import LN_2PI, FlowConfig
 from vowelflow.latent import encode_batch
-from vowelflow.numerics import Rng
+from vowelflow.numerics import Rng, ShapeError
 from vowelflow.train import (
     CHECKPOINT_MAGIC,
     DIVERGENCE_PATIENCE,
@@ -415,6 +415,38 @@ class TestTrainLoop:
         assert strip_wall(ra.metrics_path) == strip_wall(rb.metrics_path)
         with open(ra.checkpoint_path, "rb") as f1, open(rb.checkpoint_path, "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_resume_loads_its_parameters_into_a_fresh_model(self, tmp_path):
+        data = structured_data()
+        full_cfg = small_train_config(steps=12)
+        ra = train_loop(
+            build_model(tiny_config(), full_cfg.seed), data, full_cfg, tmp_path / "a"
+        )
+        half_cfg = small_train_config(steps=6)
+        train_loop(
+            build_model(tiny_config(), half_cfg.seed), data, half_cfg, tmp_path / "b"
+        )
+        loaded = load_checkpoint(tmp_path / "b" / "checkpoint.fsck")
+        fresh = build_model(tiny_config(), seed=99)
+        rb = train_loop(fresh, data, full_cfg, tmp_path / "b", resume=loaded)
+        assert strip_wall(ra.metrics_path) == strip_wall(rb.metrics_path)
+        with open(ra.checkpoint_path, "rb") as f1, open(rb.checkpoint_path, "rb") as f2:
+            assert f1.read() == f2.read()
+
+    def test_resume_into_other_architecture_rejected(self, tmp_path):
+        cfg = small_train_config(steps=4, checkpoint_every=4)
+        train_loop(build_model(tiny_config(), cfg.seed), structured_data(), cfg, tmp_path)
+        loaded = load_checkpoint(tmp_path / "checkpoint.fsck")
+        more = small_train_config(steps=8)
+        deeper = FlowConfig(levels=1, depth=2, coupling_width=4, input_shape=(1, 4, 4))
+        with pytest.raises(KeyError, match="level0.step1.actnorm.bias"):
+            train_loop(build_model(deeper, 0), structured_data(), more, tmp_path,
+                       resume=loaded)
+        wider = FlowConfig(levels=1, depth=1, coupling_width=8, input_shape=(1, 4, 4))
+        with pytest.raises(ShapeError, match="coupling"):
+            train_loop(build_model(wider, 0), structured_data(), more, tmp_path,
+                       resume=loaded)
+        assert len(read_metrics(tmp_path / "metrics.csv")) == 4
 
     def test_crash_and_resume_logs_each_step_once(self, tmp_path):
         data = structured_data()
