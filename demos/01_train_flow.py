@@ -28,7 +28,7 @@ out = Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)
 seed = 0
 
-# Build the corpus.  Waveforms are kept so the audio demo can borrow
+# Build the corpus.  Segment audio is kept so the audio demo can borrow
 # phase from them later.
 spec = SyntheticSpec(n_speakers=4, draws_per_vowel=10)
 config = DatasetConfig(image_size=32, write_wavs=True)

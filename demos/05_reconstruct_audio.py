@@ -24,6 +24,7 @@ from vowelflow import (
     write_wav,
 )
 from vowelflow.dataset import image_to_waveform, wav_path
+from vowelflow.signal import SAMPLE_RATE
 
 out = Path(__file__).parent / "out"
 if not (out / "checkpoint.fsck").exists():
@@ -38,8 +39,8 @@ def to_waveform(image, phase_utt, name):
     phase = stft(read_wav(wav_path(out, utts[phase_utt])))
     audio = image_to_waveform(image, manifest.stats, phase)
     write_wav(out / name, audio)
-    print(f"wrote {name}: {len(audio.samples)} samples "
-          f"at {audio.sample_rate} Hz from {phase.shape[0]} frames")
+    print(f"wrote {name}: {len(audio)} samples "
+          f"at {SAMPLE_RATE} Hz from {phase.shape[0]} frames")
 
 
 # First the identity check: a segment's own image carried on its own

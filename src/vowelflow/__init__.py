@@ -3,7 +3,7 @@
 The package splits into infrastructure and model code:
 
 - `numerics`: seeded RNG streams, LAPACK-backed LU, tensor serialization
-- `signal`: STFT front end, phase-borrow resynthesis, vowel synthesizer
+- `signal`: 16 kHz WAV I/O, STFT front end, phase-borrow resynthesis, vowel synthesizer
 - `dataset`: corpus construction, manifests, fixed-size spectrogram images
 - `flow`: invertible layers (actnorm, QR-initialized 1x1 conv, affine coupling)
   and the multi-scale flow with exact log-determinants and hand-derived gradients
@@ -46,7 +46,7 @@ from .latent import (
     sample,
 )
 from .numerics import Rng, read_tensor, write_tensor
-from .signal import StftConfig, Waveform, read_wav, stft, istft_phase_borrow, write_wav
+from .signal import StftConfig, read_wav, stft, istft_phase_borrow, write_wav
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "read_tensor",
     "write_tensor",
     "StftConfig",
-    "Waveform",
     "read_wav",
     "stft",
     "istft_phase_borrow",

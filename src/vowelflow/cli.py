@@ -22,6 +22,7 @@ files under --out-dir, or to standard output for `grad-audit`.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -216,6 +217,25 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         seed = args.seed
     return RunConfig(seed=seed, sections=sections)
+
+
+def _flag(cast, ok, rule: str):
+    """argparse `type=` for a numeric flag: a value outside `rule` is a usage error."""
+
+    def parse(text: str):
+        try:
+            if ok(value := cast(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+
+    return parse
+
+
+_COUNT = _flag(int, lambda v: v >= 1, "an integer of at least 1")
+_POSITIVE = _flag(float, lambda v: math.isfinite(v) and v > 0, "a finite number above 0")
+_NONNEGATIVE = _flag(float, lambda v: math.isfinite(v) and v >= 0, "a finite number of at least 0")
 
 
 def parse_sweep(text: str):
@@ -446,7 +466,7 @@ def cmd_denoise(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     if not pairs:
         raise ValueError("corpus has no clean/noisy pairs (set data.noise_snr_db)")
     train = set(manifest.train_indices())
-    fit_pairs = [p for p in pairs if p[0] in train] or pairs
+    fit_pairs = [p for p in pairs if p[0] in train]
 
     if args.utt is not None:
         target_noisy = _find_segment(manifest, args.utt, noisy=True)
@@ -543,8 +563,6 @@ def cmd_lda(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_gauss_report(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    if args.dims < 1:
-        raise UsageError(f"--dims must be at least 1, got {args.dims}")
     manifest, load = _inputs(args, out)
     model = _model(args, out)
     pixels = load(_split_indices(manifest, args.split))
@@ -749,8 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sample", cmd_sample, "decode Gaussian draws to spectrograms")
     p.add_argument("--checkpoint", metavar="FILE")
-    p.add_argument("--n", type=int, default=16, help="number of samples")
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--n", type=_COUNT, default=16, help="number of samples")
+    p.add_argument("--temperature", type=_NONNEGATIVE, default=1.0)
 
     p = command("interpolate", cmd_interpolate,
                 "decode convex combinations of two segment codes")
@@ -784,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", metavar="DIR")
     p.add_argument("--checkpoint", metavar="FILE")
     p.add_argument("--split", choices=("train", "eval", "all"), default="all")
-    p.add_argument("--dims", type=int, default=64,
+    p.add_argument("--dims", type=_COUNT, default=64,
                    help="dimensions sampled per space (default 64)")
 
     p = command("reconstruct", cmd_reconstruct,
@@ -801,11 +819,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("grad-audit", cmd_grad_audit,
                 "finite-difference check of the analytic gradients")
-    p.add_argument("--h", type=float, default=1e-5, help="step size")
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--entries", type=int, default=4,
+    p.add_argument("--h", type=_POSITIVE, default=1e-5, help="step size")
+    p.add_argument("--tolerance", type=_POSITIVE, default=1e-4)
+    p.add_argument("--entries", type=_COUNT, default=4,
                    help="entries probed per parameter tensor")
-    p.add_argument("--batch", type=int, default=2,
+    p.add_argument("--batch", type=_COUNT, default=2,
                    help="random batch size for the audit")
 
     return parser

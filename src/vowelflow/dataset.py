@@ -13,7 +13,8 @@ A corpus directory holds three files:
 * ``corpus.json``    - normalization stats, config echo and the train split.
 
 With ``write_wavs`` it also holds ``wavs/<index>.wav``, the audio of the
-segment at that manifest index (`wav_path`).
+segment at that manifest index (`wav_path`).  Audio, here as everywhere,
+is a float64 sample array at the one rate (16 kHz) that `read_wav` enforces.
 
 Records are ordered deterministically; a noisy twin (when noise
 augmentation is configured) immediately follows its clean sibling and
@@ -31,12 +32,10 @@ import numpy as np
 
 from .numerics import Rng, read_tensor_from, write_tensor_to
 from .signal import (
-    DEFAULT_SAMPLE_RATE,
     FORMANTS,
     MAG_FLOOR,
     STFT,
     VOWELS,
-    Waveform,
     add_white_noise,
     denormalize,
     istft_phase_borrow,
@@ -261,7 +260,7 @@ def image_to_magnitude(image: np.ndarray, stats: tuple[float, float]) -> np.ndar
 
 def image_to_waveform(
     image: np.ndarray, stats: tuple[float, float], phase: np.ndarray
-) -> Waveform:
+) -> np.ndarray:
     """(S, S) normalized image -> audio, carried on `phase`'s frames.
 
     `phase` is the (T, 257) `stft` of a recording, T <= FULL_FRAMES; the
@@ -273,23 +272,23 @@ def image_to_waveform(
     return istft_phase_borrow(image_to_magnitude(image, stats)[:frames], phase)
 
 
-def segment_to_spectrogram(w: Waveform) -> np.ndarray | None:
-    """(T, bins) STFT magnitude of one segment, T <= FULL_FRAMES.
+def segment_to_spectrogram(samples: np.ndarray) -> np.ndarray | None:
+    """(T, bins) STFT magnitude of one segment's audio, T <= FULL_FRAMES.
 
     Returns None (discard) when the segment spans more than FULL_FRAMES
     frames.  `magnitude_to_image` turns the magnitude into the image.
     """
-    mag = np.abs(stft(w))
+    mag = np.abs(stft(samples))
     return mag if mag.shape[0] <= FULL_FRAMES else None
 
 
 # ---------------------------------------------------------------------------
-# corpus sources: lists of (record, segment waveform)
+# corpus sources: lists of (record, segment audio)
 
 
 def _synthetic_segments(
     spec: SyntheticSpec, rng: Rng
-) -> list[tuple[SegmentRecord, Waveform]]:
+) -> list[tuple[SegmentRecord, np.ndarray]]:
     speaker_rng = rng.spawn(0)
     draw_rng = rng.spawn(1)
     speakers = []
@@ -304,13 +303,13 @@ def _synthetic_segments(
             for draw in range(spec.draws_per_vowel):
                 f0 = draw_rng.uniform(*_F0_RANGE[gender])
                 duration = draw_rng.uniform(*_DURATION_RANGE)
-                w = synth_vowel(draw_rng, vowel, f0, duration, shift)
+                audio = synth_vowel(draw_rng, vowel, f0, duration, shift)
                 rec = SegmentRecord(f"{spk}_{vowel}_{draw:03d}", spk, gender, vowel)
-                out.append((rec, w))
+                out.append((rec, audio))
     return out
 
 
-def _real_corpus_segments(root: Path, vowels) -> list[tuple[SegmentRecord, Waveform]]:
+def _real_corpus_segments(root: Path, vowels) -> list[tuple[SegmentRecord, np.ndarray]]:
     """Walk a "<dialect>/<G><ID>/<utt>.phn" tree with sibling WAV files."""
     out = []
     for phn in sorted(root.rglob("*.phn")):
@@ -329,20 +328,15 @@ def _real_corpus_segments(root: Path, vowels) -> list[tuple[SegmentRecord, Wavef
             raise ValueError(f"{phn}: {exc}") from exc
         if not segments:
             continue
-        w = read_wav(wav_path)
-        if w.sample_rate != DEFAULT_SAMPLE_RATE:
-            raise ValueError(
-                f"{wav_path}: sample rate {w.sample_rate} Hz, "
-                f"the spectrogram front end needs {DEFAULT_SAMPLE_RATE} Hz"
-            )
+        audio = read_wav(wav_path)
         for begin, end, vowel in segments:
-            if end > len(w.samples):
+            if end > len(audio):
                 raise ValueError(
                     f"{phn}: segment '{begin} {end} {vowel}' "
-                    f"runs past the {len(w.samples)} samples of {wav_path.name}"
+                    f"runs past the {len(audio)} samples of {wav_path.name}"
                 )
         out.extend(
-            (SegmentRecord(utt, speaker_dir, gender, vowel), Waveform(w.samples[begin:end]))
+            (SegmentRecord(utt, speaker_dir, gender, vowel), audio[begin:end])
             for begin, end, vowel in segments
         )
     return out
@@ -381,18 +375,18 @@ def build_corpus(
     split_rng = rng.spawn(3)
 
     # attach noisy twins, take each magnitude, drop unusable segments
-    segments: list[tuple[SegmentRecord, Waveform, np.ndarray]] = []  # (rec, wave, mag)
-    for rec, wave in raw:
-        if len(wave.samples) < STFT.window_len:
+    segments: list[tuple[SegmentRecord, np.ndarray, np.ndarray]] = []  # (rec, audio, mag)
+    for rec, audio in raw:
+        if len(audio) < STFT.window_len:
             continue  # shorter than one analysis window; draws no noise
-        variants = [(rec, wave)]
+        variants = [(rec, audio)]
         if config.noise_snr_db is not None:
             twin = replace(rec, noise_snr_db=config.noise_snr_db)
-            variants.append((twin, add_white_noise(wave, noise_rng, config.noise_snr_db)))
-        for vrec, vwave in variants:
-            mag = segment_to_spectrogram(vwave)
+            variants.append((twin, add_white_noise(audio, noise_rng, config.noise_snr_db)))
+        for vrec, vaudio in variants:
+            mag = segment_to_spectrogram(vaudio)
             if mag is not None:
-                segments.append((vrec, vwave, mag))
+                segments.append((vrec, vaudio, mag))
 
     if not segments:
         raise ValueError("all segments were discarded")
@@ -431,12 +425,12 @@ def build_corpus(
     if config.write_wavs:
         (out_dir / "wavs").mkdir(exist_ok=True)
     with open(out_dir / "corpus.fstn", "wb") as archive:
-        for index, (rec, wave_seg, mag) in enumerate(segments):
+        for index, (rec, audio, mag) in enumerate(segments):
             offset = archive.tell()
             write_tensor_to(archive, magnitude_to_image(mag, stats, config.image_size))
             entries.append(ManifestEntry(record=rec, valid_frames=mag.shape[0], offset=offset))
             if config.write_wavs:
-                write_wav(wav_path(out_dir, index), wave_seg)
+                write_wav(wav_path(out_dir, index), audio)
 
     manifest = Manifest(
         entries=entries, stats=stats, config=config_echo, train_utterances=train_utts

@@ -37,7 +37,6 @@ from .numerics import (
     conv2d_backward,
     lu_decompose,
     mat_inverse,
-    randn,
 )
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -90,11 +89,10 @@ class CodePart:
         return c * h * w
 
 
-def prior_logprob(z: np.ndarray) -> np.ndarray | float:
+def prior_logprob(z: np.ndarray) -> np.ndarray:
     """Standard-normal log density, summed over the last axis."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.sum(-0.5 * z**2 - 0.5 * LN_2PI, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return np.sum(-0.5 * z**2 - 0.5 * LN_2PI, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +153,7 @@ class InvConv:
             self.weight = np.eye(channels)
         else:
             # random orthogonal start: |det W| = 1, so the initial logdet is 0
-            a = randn(rng, (channels, channels))
+            a = rng.standard_normal((channels, channels))
             q, r = np.linalg.qr(a)
             self.weight = q * np.sign(np.diag(r))
 
@@ -207,7 +205,7 @@ class AffineCoupling:
         out_ch, in_ch = out_in
         if rng is None:
             return np.zeros((out_ch, in_ch, 3, 3))
-        return randn(rng, (out_ch, in_ch, 3, 3)) * math.sqrt(2.0 / (in_ch * 9))
+        return rng.standard_normal((out_ch, in_ch, 3, 3)) * math.sqrt(2.0 / (in_ch * 9))
 
     def _net(self, xa: np.ndarray) -> tuple[np.ndarray, ...]:
         # the ReLU outputs double as their masks: a > 0 exactly where h > 0
@@ -341,11 +339,11 @@ class FlowModel:
         if set(values) != set(live):
             missing = set(live) ^ set(values)
             raise KeyError(f"parameter names do not match, difference: {sorted(missing)}")
+        for name, arr in values.items():  # every shape before any write
+            if live[name].shape != arr.shape:
+                raise ShapeError(f"{name}: shape {arr.shape} != {live[name].shape}")
         for name, arr in values.items():
-            target = live[name]
-            if target.shape != arr.shape:
-                raise ShapeError(f"{name}: shape {arr.shape} != {target.shape}")
-            target[...] = arr
+            live[name][...] = arr
 
     # -- forward / inverse ---------------------------------------------------
 

@@ -107,11 +107,6 @@ class Rng:
         }
 
 
-def randn(rng: Rng, shape) -> np.ndarray:
-    """I.i.d. standard normal tensor of the given shape."""
-    return np.asarray(rng.standard_normal(shape), dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -182,7 +177,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     b, c, h, w = x.shape
     # one zero-filled buffer and one slice copy, not np.pad, whose Python
     # overhead is a visible share of a desk-size conv
-    xp = np.zeros((b, c, h + kh - 1, w + kw - 1))
+    xp = np.zeros((b, c, h + kh - 1, w + kw - 1), dtype=x.dtype)
     xp[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h * w)
@@ -191,11 +186,8 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Cross-correlation with "same" zero padding plus per-channel bias.
 
-    (B, C, H, W) input -> (B, O, H, W) output.
+    (B, C, H, W) input -> (B, O, H, W) output, in the operands' dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
     _check_operands(x, kernel)
     if bias.shape != (kernel.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} does not match {kernel.shape[0]} outputs")
@@ -217,9 +209,6 @@ def conv2d_backward(
     `grad_out` is the cotangent of the output; shapes must match the
     corresponding forward call.
     """
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
     _check_operands(x, kernel)
     o, c, kh, kw = kernel.shape
     if grad_out.shape != (x.shape[0], o, x.shape[2], x.shape[3]):
@@ -241,7 +230,7 @@ def conv2d_backward(
     # is itself a "same" correlation with the channel-swapped, spatially
     # flipped kernel.
     kflip = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    grad_x = conv2d(grad_out, np.ascontiguousarray(kflip), np.zeros(c))
+    grad_x = conv2d(grad_out, np.ascontiguousarray(kflip), np.zeros(c, dtype=grad_out.dtype))
     return grad_x, grad_kernel, grad_bias
 
 

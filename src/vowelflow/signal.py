@@ -1,9 +1,12 @@
-"""Waveform I/O, STFT analysis/resynthesis, and a synthetic vowel generator.
+"""WAV I/O, STFT analysis/resynthesis, and a synthetic vowel generator.
 
-The front end is fixed (`STFT`, 16 kHz audio): Hann-analysis frames of
-400 samples (25 ms) taken every 16 samples (1 ms), zero-padded to 512 and
-transformed one-sided, so a frame has 257 bins.  Resynthesis is
-overlap-add with a Hann synthesis window and squared-window normalization.
+Audio is a 1-D float64 array of samples in [-1, 1] at SAMPLE_RATE (16 kHz),
+the package's one rate: `read_wav` rejects any other, and `write_wav` and
+`synth_vowel` produce only it.  The front end is fixed (`STFT`):
+Hann-analysis frames of 400 samples (25 ms) taken every 16 samples (1 ms),
+zero-padded to 512 and transformed one-sided, so a frame has 257 bins.
+Resynthesis is overlap-add with a Hann synthesis window and squared-window
+normalization.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .numerics import Rng, ShapeError, randn
+from .numerics import Rng, ShapeError
 
-DEFAULT_SAMPLE_RATE = 16000
+SAMPLE_RATE = 16000
 
 # log-magnitude floor; zero-padded regions map to ln(MAG_FLOOR)
 MAG_FLOOR = 1e-5
@@ -35,19 +38,6 @@ FORMANTS = {
 }
 
 VOWELS = tuple(sorted(FORMANTS))
-
-
-@dataclass
-class Waveform:
-    """Mono waveform; samples are float64 in [-1, 1]."""
-
-    samples: np.ndarray
-    sample_rate: int = DEFAULT_SAMPLE_RATE
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
 
 @dataclass
@@ -78,8 +68,8 @@ def _hann(n: int) -> np.ndarray:
 # WAV I/O (RIFF PCM, 16-bit mono)
 
 
-def read_wav(path) -> Waveform:
-    """Read a 16-bit mono PCM WAV; samples are scaled by 1/32768.
+def read_wav(path) -> np.ndarray:
+    """Read a 16 kHz 16-bit mono PCM WAV; samples are scaled by 1/32768.
 
     Every format error is a ValueError that names the file."""
     try:
@@ -96,19 +86,22 @@ def read_wav(path) -> Waveform:
             raise ValueError(f"{path}: expected 16-bit PCM, got {8 * fp.getsampwidth()}-bit")
         if fp.getcomptype() != "NONE":
             raise ValueError(f"{path}: unsupported WAV encoding {fp.getcomptype()!r}")
-        rate = fp.getframerate()
+        if fp.getframerate() != SAMPLE_RATE:
+            raise ValueError(
+                f"{path}: sample rate {fp.getframerate()} Hz, "
+                f"the spectrogram front end needs {SAMPLE_RATE} Hz"
+            )
         raw = fp.readframes(fp.getnframes())
-    ints = np.frombuffer(raw, dtype="<i2")
-    return Waveform(ints.astype(np.float64) / 32768.0, sample_rate=rate)
+    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
-def write_wav(path, w: Waveform) -> None:
-    """Write a 16-bit mono PCM WAV (values clipped to the int16 range)."""
-    ints = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2")
+def write_wav(path, samples: np.ndarray) -> None:
+    """Write a 16 kHz 16-bit mono PCM WAV (values clipped to the int16 range)."""
+    ints = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as fp:
         fp.setnchannels(1)
         fp.setsampwidth(2)
-        fp.setframerate(w.sample_rate)
+        fp.setframerate(SAMPLE_RATE)
         fp.writeframes(ints.tobytes())
 
 
@@ -116,17 +109,17 @@ def write_wav(path, w: Waveform) -> None:
 # STFT / inverse
 
 
-def stft(w: Waveform) -> np.ndarray:
-    """Hann-windowed one-sided STFT: (T, 257) complex frames."""
-    frame_count(len(w.samples), STFT.window_len, STFT.hop)  # rejects input shorter than a window
+def stft(samples: np.ndarray) -> np.ndarray:
+    """Hann-windowed one-sided STFT of audio: (T, 257) complex frames."""
+    frame_count(len(samples), STFT.window_len, STFT.hop)  # rejects input shorter than a window
     # a strided view of the frames: no index array, no gathered copy
-    windows = np.lib.stride_tricks.sliding_window_view(w.samples, STFT.window_len)[::STFT.hop]
+    windows = np.lib.stride_tricks.sliding_window_view(samples, STFT.window_len)[::STFT.hop]
     frames = windows * _hann(STFT.window_len)[None, :]
     return np.fft.rfft(frames, n=STFT.fft_size, axis=1)
 
 
-def istft_phase_borrow(mag: np.ndarray, phase: np.ndarray) -> Waveform:
-    """Overlap-add resynthesis of `mag` carried on the phase of `phase`.
+def istft_phase_borrow(mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Overlap-add resynthesis (audio) of `mag` carried on the phase of `phase`.
 
     `phase` is a (T, 257) complex `stft` result; each frame is
     mag[t] * exp(i * arg(phase[t])).  The synthesis window is Hann, and
@@ -146,7 +139,7 @@ def istft_phase_borrow(mag: np.ndarray, phase: np.ndarray) -> Waveform:
         lo = i * STFT.hop
         acc[lo:lo + STFT.window_len] += frame * window
         wsum[lo:lo + STFT.window_len] += window * window
-    return Waveform(acc / np.maximum(wsum, _OLA_FLOOR))
+    return acc / np.maximum(wsum, _OLA_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +176,7 @@ def synth_vowel(
     f0: float,
     duration: float,
     speaker_shift: float = 0.0,
-) -> Waveform:
+) -> np.ndarray:
     """Source-filter vowel: impulse train through two formant resonators.
 
     Both formant frequencies from the built-in table are multiplied by
@@ -194,30 +187,30 @@ def synth_vowel(
         raise ValueError(f"unknown vowel {vowel_label!r}, expected one of {VOWELS}")
     if not 70.0 <= f0 <= 350.0:
         raise ValueError(f"f0 {f0} Hz outside [70, 350]")
-    n = int(round(duration * DEFAULT_SAMPLE_RATE))
+    n = int(round(duration * SAMPLE_RATE))
     excitation = np.zeros(n)
-    period = DEFAULT_SAMPLE_RATE / f0
+    period = SAMPLE_RATE / f0
     positions = np.arange(0, n, period)
     excitation[positions.astype(int)] = 1.0
-    excitation += 0.001 * randn(rng, (n,))
+    excitation += 0.001 * rng.standard_normal((n,))
 
     out = excitation
     for freq, bandwidth in zip(FORMANTS[vowel_label], (80.0, 120.0)):
         freq = freq * (1.0 + speaker_shift)
-        r = math.exp(-math.pi * bandwidth / DEFAULT_SAMPLE_RATE)
-        theta = 2.0 * math.pi * freq / DEFAULT_SAMPLE_RATE
+        r = math.exp(-math.pi * bandwidth / SAMPLE_RATE)
+        theta = 2.0 * math.pi * freq / SAMPLE_RATE
         out = lfilter([1.0], [1.0, -2.0 * r * math.cos(theta), r * r], out)
 
     peak = np.max(np.abs(out))
-    return Waveform(0.9 * out / peak)
+    return 0.9 * out / peak
 
 
-def add_white_noise(w: Waveform, rng: Rng, snr_db: float) -> Waveform:
+def add_white_noise(samples: np.ndarray, rng: Rng, snr_db: float) -> np.ndarray:
     """Add Gaussian noise scaled to the exact requested signal-to-noise ratio."""
-    p_signal = float(np.mean(w.samples**2))
+    p_signal = float(np.mean(samples**2))
     if p_signal == 0.0:
         raise ValueError("cannot scale noise against a silent signal")
-    noise = randn(rng, (len(w.samples),))
+    noise = rng.standard_normal((len(samples),))
     p_target = p_signal / (10.0 ** (snr_db / 10.0))
     noise *= math.sqrt(p_target / float(np.mean(noise**2)))
-    return Waveform(w.samples + noise, sample_rate=w.sample_rate)
+    return samples + noise

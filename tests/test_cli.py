@@ -3,6 +3,7 @@
 import filecmp
 import json
 import re
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from vowelflow.cli import (
 from vowelflow.dataset import load_manifest
 from vowelflow.latent import DEFAULT_DENOISE_BETAS, DEFAULT_INTERP_ALPHAS, encode_batch
 from vowelflow.numerics import Rng, read_tensor
-from vowelflow.signal import Waveform, read_wav, synth_vowel, write_wav
+from vowelflow.signal import read_wav, synth_vowel, write_wav
 from vowelflow.train import load_checkpoint
 
 # Tiny but complete setup: 2 speakers x 5 vowels x 3 draws with 10 dB noisy
@@ -90,6 +91,15 @@ def pipeline(tmp_path_factory):
     return out
 
 
+def write_8khz_wav(path, n_samples):
+    """A silent 16-bit mono WAV at 8 kHz, half the front end's one rate."""
+    with wave.open(str(path), "wb") as fp:
+        fp.setnchannels(1)
+        fp.setsampwidth(2)
+        fp.setframerate(8000)
+        fp.writeframes(b"\0\0" * n_samples)
+
+
 def parse_config(namespace_args):
     parser = build_parser()
     return load_run_config(parser.parse_args(namespace_args))
@@ -139,14 +149,23 @@ class TestExitCodes:
     def test_prepare_rejects_other_sample_rates(self, tmp_path, capsys):
         speaker = tmp_path / "timit" / "dr1" / "MABC0"
         speaker.mkdir(parents=True)
-        aa = Waveform(synth_vowel(Rng(1), "aa", 120.0, 0.2).samples, sample_rate=8000)
-        write_wav(speaker / "sx1.wav", aa)
-        (speaker / "sx1.phn").write_text(f"0 {len(aa.samples)} aa\n")
+        write_8khz_wav(speaker / "sx1.wav", 3200)
+        (speaker / "sx1.phn").write_text("0 3200 aa\n")
         rc = main(["--out-dir", str(tmp_path / "out"), "prepare",
                    "--corpus-root", str(tmp_path / "timit")])
         assert rc == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert str(speaker / "sx1.wav") in err and "8000 Hz" in err
+
+    def test_reconstruct_rejects_other_sample_rates(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(out, "synth-data") == EXIT_OK
+        index = cli._find_segment(load_manifest(out), "spk00_aa_000", noisy=False)
+        write_8khz_wav(dataset.wav_path(out, index), 3200)
+        assert run(out, "reconstruct", "--utt", "spk00_aa_000") == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"error: {dataset.wav_path(out, index)}: sample rate 8000 Hz" in err
+        assert not (out / "recon_spk00_aa_000.wav").exists()
 
     def test_prepare_rejects_segment_past_wav_end(self, tmp_path, capsys):
         speaker = tmp_path / "timit" / "dr1" / "MABC0"
@@ -184,8 +203,6 @@ class TestExitCodes:
     def test_prepare_wav_format_errors_name_the_file(
         self, tmp_path, capsys, channels, width, message
     ):
-        import wave
-
         speaker = tmp_path / "timit" / "dr1" / "MABC0"
         speaker.mkdir(parents=True)
         with wave.open(str(speaker / "sx1.wav"), "wb") as fp:
@@ -205,8 +222,8 @@ class TestExitCodes:
         speaker.mkdir(parents=True)
         aa = synth_vowel(Rng(1), "aa", 120.0, 0.2)
         iy = synth_vowel(Rng(2), "iy", 130.0, 0.2)
-        write_wav(speaker / "sx1.wav", Waveform(np.concatenate([aa.samples, iy.samples])))
-        n, m = len(aa.samples), len(aa.samples) + len(iy.samples)
+        write_wav(speaker / "sx1.wav", np.concatenate([aa, iy]))
+        n, m = len(aa), len(aa) + len(iy)
         (speaker / "sx1.phn").write_text(f"0 {n} aa\n{n} {m} iy\n")
         out = tmp_path / "out"
         rc = main(["--data.noise_snr_db", "10", "--out-dir", str(out), "prepare",
@@ -225,9 +242,9 @@ class TestExitCodes:
         speaker.mkdir(parents=True)
         aa = synth_vowel(Rng(1), "aa", 120.0, 0.2)
         iy = synth_vowel(Rng(2), "iy", 130.0, 0.25)
-        write_wav(speaker / "sx1.wav", Waveform(np.concatenate([aa.samples, iy.samples])))
-        source = read_wav(speaker / "sx1.wav").samples
-        n, m = len(aa.samples), len(aa.samples) + len(iy.samples)
+        write_wav(speaker / "sx1.wav", np.concatenate([aa, iy]))
+        source = read_wav(speaker / "sx1.wav")
+        n, m = len(aa), len(aa) + len(iy)
         (speaker / "sx1.phn").write_text(f"0 {n} aa\n{n} {m} iy\n")
         out = tmp_path / "out"
         rc = main(["--data.noise_snr_db", "10", "--data.write_wavs", "true",
@@ -237,7 +254,7 @@ class TestExitCodes:
         assert sorted(p.name for p in (out / "wavs").iterdir()) == [
             "0.wav", "1.wav", "2.wav", "3.wav"
         ]
-        wavs = [read_wav(dataset.wav_path(out, i)).samples for i in range(4)]
+        wavs = [read_wav(dataset.wav_path(out, i)) for i in range(4)]
         np.testing.assert_array_equal(wavs[0], source[:n])  # clean /aa/
         np.testing.assert_array_equal(wavs[2], source[n:m])  # clean /iy/
         for clean, noisy in ((0, 1), (2, 3)):
@@ -324,11 +341,29 @@ class TestExitCodes:
         rc = run(pipeline, "interpolate", "--a", "nope", "--b", "spk00_aa_000")
         assert rc == EXIT_RUNTIME
 
-    @pytest.mark.parametrize("dims", ["0", "-5"])
-    def test_gauss_report_dims_below_one_is_usage_error(self, tmp_path, capsys, dims):
-        # rejected before any load: the empty out-dir holds no corpus
-        assert run(tmp_path, "gauss-report", "--dims", dims) == EXIT_USAGE
-        assert "--dims" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("grad-audit", "--entries", "0"),
+         ("grad-audit", "--batch", "0"),
+         ("grad-audit", "--tolerance", "nan"),
+         ("grad-audit", "--h", "nan"),
+         ("grad-audit", "--h", "inf"),
+         ("sample", "--temperature", "inf"),
+         ("sample", "--temperature", "nan"),
+         ("sample", "--n", "0"),
+         ("gauss-report", "--dims", "0"),
+         ("gauss-report", "--dims", "-5")],
+    )
+    def test_out_of_range_numeric_flag_is_usage_error(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        # rejected while parsing: nothing is loaded, computed or written
+        out = tmp_path / "out"
+        assert run(out, command, flag, value) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"argument {flag}: expected " in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv", [["interpolate", "--a", "x", "--b", "y", "--alphas", "nan"],
@@ -613,8 +648,8 @@ class TestArtifacts:
     def test_reconstruct_writes_waveform(self, pipeline):
         assert run(pipeline, "reconstruct", "--utt", "spk00_aa_000") == EXIT_OK
         wav = read_wav(pipeline / "recon_spk00_aa_000.wav")
-        assert len(wav.samples) > 1000
-        assert np.isfinite(wav.samples).all()
+        assert len(wav) > 1000
+        assert np.isfinite(wav).all()
 
     def test_reconstruct_from_tensor_stack(self, pipeline):
         rc = run(
@@ -664,18 +699,19 @@ class TestResume:
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
-        for d in dirs:
+        for d in dirs:  # TINY_FLAGS keep the segment audio in wavs/
             assert run(d, "synth-data") == EXIT_OK
             assert run(d, "train") == EXIT_OK
             assert run(d, "sample", "--n", "3") == EXIT_OK
             assert run(d, "encode") == EXIT_OK
-        names = sorted(
-            p.name for p in dirs[0].iterdir() if p.is_file()
-        )
-        assert "checkpoint.fsck" in names and "samples.fstn" in names
-        for name in names:
+            assert run(d, "reconstruct", "--utt", "spk00_aa_000") == EXIT_OK
+        names = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file()) for d in dirs]
+        assert names[0] == names[1]
+        for must in ("checkpoint.fsck", "samples.fstn", "wavs/0.wav", "recon_spk00_aa_000.wav"):
+            assert Path(must) in names[0]
+        for name in names[0]:
             a, b = dirs[0] / name, dirs[1] / name
-            if name == "metrics.csv":
+            if name == Path("metrics.csv"):
                 # identical apart from the wall-clock column
                 rows_a = a.read_text().splitlines()
                 rows_b = b.read_text().splitlines()

@@ -28,7 +28,6 @@ from vowelflow.dataset import (
 from vowelflow.numerics import Rng
 from vowelflow.signal import (
     MAG_FLOOR,
-    Waveform,
     denormalize,
     istft_phase_borrow,
     log_normalize,
@@ -130,10 +129,10 @@ class TestSegmentToSpectrogram:
         # give the same bits
         w = synth_vowel(Rng(7), "ae", 130.0, 0.15)
         win, hop, nfft = dataset.STFT.window_len, dataset.STFT.hop, dataset.STFT.fft_size
-        t = (len(w.samples) - win) // hop + 1
+        t = (len(w) - win) // hop + 1
         idx = np.arange(win)[None, :] + hop * np.arange(t)[:, None]
         hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
-        mag = np.abs(np.fft.rfft(w.samples[idx] * hann[None, :], n=nfft, axis=1))
+        mag = np.abs(np.fft.rfft(w[idx] * hann[None, :], n=nfft, axis=1))
         mag = np.concatenate([mag, np.zeros((t, 288 - mag.shape[1]))], axis=1)
         image = np.full((288, 288), (math.log(MAG_FLOOR) - STATS[0]) / STATS[1])
         image[:t] = (np.log(mag + MAG_FLOOR) - STATS[0]) / STATS[1]
@@ -174,16 +173,16 @@ class TestImageToWaveform:
         image = image_of(w, 32)
         audio = image_to_waveform(image, STATS, phase)
         mag = image_to_magnitude(image, STATS)[: phase.shape[0]]
-        np.testing.assert_array_equal(audio.samples, istft_phase_borrow(mag, phase).samples)
+        np.testing.assert_array_equal(audio, istft_phase_borrow(mag, phase))
 
     def test_accepts_a_phase_of_full_frames(self):
-        phase = stft(Waveform(np.ones(400 + 287 * 16)))
+        phase = stft(np.ones(400 + 287 * 16))
         assert phase.shape[0] == 288
         audio = image_to_waveform(np.zeros((32, 32)), STATS, phase)
-        assert len(audio.samples) == 400 + 287 * 16
+        assert len(audio) == 400 + 287 * 16
 
     def test_rejects_a_phase_longer_than_full_frames(self):
-        phase = stft(Waveform(np.ones(400 + 288 * 16)))
+        phase = stft(np.ones(400 + 288 * 16))
         assert phase.shape[0] == 289
         with pytest.raises(ValueError, match="phase source has 289 frames; expected at most 288"):
             image_to_waveform(np.zeros((32, 32)), STATS, phase)
@@ -394,10 +393,10 @@ class TestRealCorpusIngestion:
                 aa = synth_vowel(rng, "aa", 120.0, 0.2)
                 iy = synth_vowel(rng, "iy", 130.0, 0.15)
                 gap = np.zeros(800)
-                samples = np.concatenate([gap, aa.samples, gap, iy.samples, gap])
-                write_wav(d / f"{utt}.wav", Waveform(samples))
-                n0, n1 = len(gap), len(gap) + len(aa.samples)
-                n2, n3 = n1 + len(gap), n1 + len(gap) + len(iy.samples)
+                samples = np.concatenate([gap, aa, gap, iy, gap])
+                write_wav(d / f"{utt}.wav", samples)
+                n0, n1 = len(gap), len(gap) + len(aa)
+                n2, n3 = n1 + len(gap), n1 + len(gap) + len(iy)
                 (d / f"{utt}.phn").write_text(
                     f"0 {n0} h#\n{n0} {n1} aa\n{n1} {n2} pau\n{n2} {n3} iy\n"
                 )

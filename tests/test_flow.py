@@ -6,6 +6,7 @@ of the exact likelihood, so every closed-form expression in the layers
 has an independent oracle.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -517,6 +518,17 @@ class TestSetParams:
         values.pop(next(iter(values)))
         with pytest.raises(KeyError):
             model.set_params(values)
+
+    def test_shape_mismatch_writes_nothing(self):
+        # width-4 parameters into a width-8 model: the actnorm and 1x1-conv
+        # shapes match, and the 1x1 conv comes before the first coupling
+        # tensor whose shape differs
+        model = make_random_model(dataclasses.replace(tiny_config(), coupling_width=8), seed=1)
+        before = {k: v.copy() for k, v in model.params().items()}
+        with pytest.raises(ShapeError, match="coupling.w1"):
+            model.set_params(make_random_model(tiny_config(), seed=2).params())
+        for k, v in model.params().items():
+            npt.assert_array_equal(v, before[k], err_msg=k)
 
 
 class TestPrior:

@@ -12,7 +12,6 @@ from vowelflow.numerics import (
     conv2d_backward,
     lu_decompose,
     mat_inverse,
-    randn,
     read_tensor,
     read_tensor_from,
     write_tensor,
@@ -70,7 +69,7 @@ class TestLu:
 
     def test_det_matches_cofactor_expansion(self):
         rng = Rng(12)
-        a = randn(rng, (3, 3))
+        a = rng.standard_normal((3, 3))
         lu = lu_decompose(a)
         assert math.exp(lu.log_abs_det) == pytest.approx(abs(det_cofactor(a)), rel=1e-10)
 
@@ -94,7 +93,7 @@ class TestInverse:
 
     def test_residual(self):
         rng = Rng(9)
-        a = randn(rng, (4, 4)) + 2 * np.eye(4)
+        a = rng.standard_normal((4, 4)) + 2 * np.eye(4)
         resid = np.max(np.abs(a @ mat_inverse(a) - np.eye(4)))
         assert resid <= 1e-8
 
@@ -110,7 +109,7 @@ class TestInverse:
 class TestConv2d:
     def test_identity_kernel(self):
         rng = Rng(21)
-        x = randn(rng, (1, 1, 5, 5))
+        x = rng.standard_normal((1, 1, 5, 5))
         k = np.ones((1, 1, 1, 1))
         np.testing.assert_allclose(conv2d(x, k, np.zeros(1)), x, atol=1e-15)
 
@@ -123,25 +122,25 @@ class TestConv2d:
 
     def test_against_direct_oracle(self):
         rng = Rng(22)
-        x = randn(rng, (1, 2, 4, 4))
-        k = randn(rng, (3, 2, 3, 3))
-        b = randn(rng, (3,))
+        x = rng.standard_normal((1, 2, 4, 4))
+        k = rng.standard_normal((3, 2, 3, 3))
+        b = rng.standard_normal((3,))
         np.testing.assert_allclose(conv2d(x, k, b)[0], conv2d_oracle(x[0], k, b), atol=1e-12)
 
     def test_batched_matches_per_image(self):
         rng = Rng(23)
-        x = randn(rng, (4, 2, 5, 5))
-        k = randn(rng, (3, 2, 3, 3))
-        b = randn(rng, (3,))
+        x = rng.standard_normal((4, 2, 5, 5))
+        k = rng.standard_normal((3, 2, 3, 3))
+        b = rng.standard_normal((3,))
         y = conv2d(x, k, b)
         for i in range(4):
             np.testing.assert_allclose(y[i], conv2d(x[i : i + 1], k, b)[0], atol=1e-13)
 
     def test_linear_in_input(self):
         rng = Rng(24)
-        x1 = randn(rng, (1, 2, 6, 6))
-        x2 = randn(rng, (1, 2, 6, 6))
-        k = randn(rng, (2, 2, 3, 3))
+        x1 = rng.standard_normal((1, 2, 6, 6))
+        x2 = rng.standard_normal((1, 2, 6, 6))
+        k = rng.standard_normal((2, 2, 3, 3))
         zero = np.zeros(2)
         lhs = conv2d(1.7 * x1 + x2, k, zero)
         rhs = 1.7 * conv2d(x1, k, zero) + conv2d(x2, k, zero)
@@ -159,15 +158,15 @@ class TestConv2d:
 class TestConv2dBackward:
     def test_zero_cotangent(self):
         rng = Rng(31)
-        x = randn(rng, (1, 2, 4, 4))
-        k = randn(rng, (3, 2, 3, 3))
+        x = rng.standard_normal((1, 2, 4, 4))
+        k = rng.standard_normal((3, 2, 3, 3))
         gx, gk, gb = conv2d_backward(np.zeros((1, 3, 4, 4)), x, k)
         assert not gx.any() and not gk.any() and not gb.any()
 
     def test_identity_kernel_passthrough(self):
         rng = Rng(32)
-        g = randn(rng, (1, 1, 4, 4))
-        x = randn(rng, (1, 1, 4, 4))
+        g = rng.standard_normal((1, 1, 4, 4))
+        x = rng.standard_normal((1, 1, 4, 4))
         gx, _, _ = conv2d_backward(g, x, np.ones((1, 1, 1, 1)))
         np.testing.assert_allclose(gx, g, atol=1e-15)
 
@@ -199,19 +198,19 @@ class TestConv2dBackward:
 
     def test_finite_differences(self):
         rng = Rng(33)
-        x = randn(rng, (1, 2, 4, 4))
-        k = randn(rng, (3, 2, 3, 3))
-        b = randn(rng, (3,))
+        x = rng.standard_normal((1, 2, 4, 4))
+        k = rng.standard_normal((3, 2, 3, 3))
+        b = rng.standard_normal((3,))
         # scalar objective: weighted sum of outputs with fixed weights
-        w = randn(rng, (1, 3, 4, 4))
+        w = rng.standard_normal((1, 3, 4, 4))
         self.check_finite_differences(x, k, b, w, probes=17)
 
     def test_batched_non_square_kernel(self):
         rng = Rng(34)
-        x = randn(rng, (3, 2, 5, 6))
-        k = randn(rng, (4, 2, 3, 5))
-        b = randn(rng, (4,))
-        w = randn(rng, (3, 4, 5, 6))
+        x = rng.standard_normal((3, 2, 5, 6))
+        k = rng.standard_normal((4, 2, 3, 5))
+        b = rng.standard_normal((4,))
+        w = rng.standard_normal((3, 4, 5, 6))
         gx, gk, gb = self.check_finite_differences(x, k, b, w, probes=23)
 
         per_image = [conv2d_backward(w[i : i + 1], x[i : i + 1], k) for i in range(3)]
@@ -224,6 +223,13 @@ class TestConv2dBackward:
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (2, 2)))
         win = np.lib.stride_tricks.sliding_window_view(xp, (3, 5), axis=(2, 3))
         np.testing.assert_allclose(gk, np.einsum("bohw,bchwuv->ocuv", w, win), rtol=0, atol=1e-12)
+
+        # float32 operands: every result stays float32, within 1e-5 relative of float64
+        x32, k32, b32, w32 = (a.astype(np.float32) for a in (x, k, b, w))
+        got = (conv2d(x32, k32, b32), *conv2d_backward(w32, x32, k32))
+        for out32, out64 in zip(got, (conv2d(x, k, b), gx, gk, gb)):
+            assert out32.dtype == np.float32
+            assert np.linalg.norm(out32 - out64) <= 1e-5 * np.linalg.norm(out64)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -253,34 +259,34 @@ class TestConv2dBackward:
 
 class TestRng:
     def test_determinism(self):
-        a = randn(Rng(77), (4, 4))
-        b = randn(Rng(77), (4, 4))
+        a = Rng(77).standard_normal((4, 4))
+        b = Rng(77).standard_normal((4, 4))
         np.testing.assert_array_equal(a, b)
 
     def test_seed_independence(self):
-        a = randn(Rng(1), (16,))
-        b = randn(Rng(2), (16,))
+        a = Rng(1).standard_normal((16,))
+        b = Rng(2).standard_normal((16,))
         assert not np.array_equal(a, b)
 
     def test_moments(self):
-        x = randn(Rng(5), (100_000,))
+        x = Rng(5).standard_normal((100_000,))
         assert abs(x.mean()) < 0.02
         assert abs(x.var() - 1.0) < 0.02
 
     def test_spawn_streams_differ_and_are_stable(self):
         root = Rng(9)
-        a1 = randn(root.spawn(0), (8,))
-        a2 = randn(root.spawn(0), (8,))
-        b = randn(root.spawn(1), (8,))
+        a1 = root.spawn(0).standard_normal((8,))
+        a2 = root.spawn(0).standard_normal((8,))
+        b = root.spawn(1).standard_normal((8,))
         np.testing.assert_array_equal(a1, a2)
         assert not np.array_equal(a1, b)
 
     def test_spawn_unaffected_by_consumption(self):
         r1 = Rng(11)
-        randn(r1, (100,))
+        r1.standard_normal((100,))
         r2 = Rng(11)
         np.testing.assert_array_equal(
-            randn(r1.spawn(3), (5,)), randn(r2.spawn(3), (5,))
+            r1.spawn(3).standard_normal((5,)), r2.spawn(3).standard_normal((5,))
         )
 
     def test_spawn_is_philox_on_the_spawn_key(self):
@@ -288,24 +294,24 @@ class TestRng:
             seq = np.random.SeedSequence(seed, spawn_key=key)
             return np.random.Generator(np.random.Philox(seq)).standard_normal(shape)
 
-        np.testing.assert_array_equal(randn(Rng(5).spawn(1), (6,)), philox(5, (1,), (6,)))
+        np.testing.assert_array_equal(Rng(5).spawn(1).standard_normal((6,)), philox(5, (1,), (6,)))
         np.testing.assert_array_equal(
-            randn(Rng(5).spawn(3).spawn(1), (6,)), philox(5, (3, 1), (6,))
+            Rng(5).spawn(3).spawn(1).standard_normal((6,)), philox(5, (3, 1), (6,))
         )
 
     def test_nested_spawn_differs_from_root_spawn(self):
-        nested = randn(Rng(5).spawn(3).spawn(1), (8,))
-        assert not np.array_equal(nested, randn(Rng(5).spawn(1), (8,)))
-        assert not np.array_equal(nested, randn(Rng(5).spawn(3), (8,)))
+        nested = Rng(5).spawn(3).spawn(1).standard_normal((8,))
+        assert not np.array_equal(nested, Rng(5).spawn(1).standard_normal((8,)))
+        assert not np.array_equal(nested, Rng(5).spawn(3).standard_normal((8,)))
 
     def test_state_round_trip(self):
         rng = Rng(13)
-        randn(rng, (7,))
+        rng.standard_normal((7,))
         snap = rng.state
-        ahead = randn(rng, (9,))
+        ahead = rng.standard_normal((9,))
         rng2 = Rng(0)
         rng2.state = snap
-        np.testing.assert_array_equal(randn(rng2, (9,)), ahead)
+        np.testing.assert_array_equal(rng2.standard_normal((9,)), ahead)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +321,7 @@ class TestRng:
 class TestTensorFormat:
     def test_round_trip(self, tmp_path):
         rng = Rng(40)
-        arr = randn(rng, (3, 5, 2))
+        arr = rng.standard_normal((3, 5, 2))
         path = tmp_path / "t.fstn"
         write_tensor(path, arr)
         back = read_tensor(path)
@@ -324,7 +330,7 @@ class TestTensorFormat:
 
     def test_stream_concatenation_and_offsets(self):
         rng = Rng(41)
-        tensors = [randn(rng, (2, 2)), randn(rng, (4,)), randn(rng, (1, 3, 3))]
+        tensors = [rng.standard_normal((2, 2)), rng.standard_normal((4,)), rng.standard_normal((1, 3, 3))]
         buf = io.BytesIO()
         offsets = []
         for t in tensors:
@@ -359,7 +365,7 @@ class TestTensorFormat:
 
     def test_all_values_finite_after_ops(self):
         rng = Rng(50)
-        a = randn(rng, (6, 6)) + 2 * np.eye(6)
-        for out in (mat_inverse(a), conv2d(randn(rng, (1, 1, 4, 4)),
-                    randn(rng, (2, 1, 3, 3)), randn(rng, (2,)))):
+        a = rng.standard_normal((6, 6)) + 2 * np.eye(6)
+        for out in (mat_inverse(a), conv2d(rng.standard_normal((1, 1, 4, 4)),
+                    rng.standard_normal((2, 1, 3, 3)), rng.standard_normal((2,)))):
             assert np.all(np.isfinite(out))
