@@ -40,7 +40,7 @@ dims_code = np.sort(rng.spawn(0).permutation(codes.shape[1])[:64])
 dims_pixel = np.sort(rng.spawn(1).permutation(flat.shape[1])[:64])
 for name, vectors, dims in (("codes", codes, dims_code),
                             ("pixels", flat, dims_pixel)):
-    report = gaussianity_report(vectors, dims=dims)
+    report = gaussianity_report(vectors[:, dims])
     print(f"{name:7s} mean |skewness| {report.mean_abs_skewness:6.3f}   "
           f"mean |excess kurtosis| {report.mean_abs_excess_kurtosis:6.3f}")
 
@@ -56,6 +56,6 @@ for ask, a, b in (("vowel", "aa", "iy"), ("gender", "M", "F"),
     for vectors in (flat, codes):
         idx_a = manifest.select(**{ask: a})
         idx_b = manifest.select(**{ask: b})
-        probe = lda_fit(vectors[idx_a], vectors[idx_b], labels=(a, b))
+        probe = lda_fit(vectors[idx_a], vectors[idx_b])
         row.append(f"{probe.fisher_ratio:12.4g}")
     print(f"{row[0]:16s} {row[1]} {row[2]}")

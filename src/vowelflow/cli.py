@@ -315,13 +315,13 @@ def _split_indices(manifest, split: str) -> list[int]:
     return indices
 
 
-def _find_segment(manifest, utterance: str, noisy: bool) -> int:
+def _find_segment(manifest, segment: str, noisy: bool) -> int:
+    """Manifest index of the clean or noisy segment whose id is `segment`."""
     want = "noisy" if noisy else "clean"
-    for i, entry in enumerate(manifest.entries):
-        rec = entry.record
-        if rec.utterance_id == utterance and (rec.noise_snr_db is not None) == noisy:
+    for i, (sid, entry) in enumerate(zip(manifest.segment_ids(), manifest.entries)):
+        if sid == segment and (entry.record.noise_snr_db is not None) == noisy:
             return i
-    raise ValueError(f"no {want} segment with utterance id {utterance!r}")
+    raise ValueError(f"no {want} segment with id {segment!r}")
 
 
 def _config_comment(cfg: RunConfig) -> str:
@@ -344,10 +344,10 @@ def cmd_build_corpus(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
+    flow_config, train_config = cfg.flow_config(), cfg.train_config()
     manifest, load = _inputs(args, out)
     pixels = load(_split_indices(manifest, "train"))
 
-    flow_config, train_config = cfg.flow_config(), cfg.train_config()
     resume = None
     if args.resume is not None:
         resume = load_checkpoint(args.resume)
@@ -434,7 +434,7 @@ def cmd_sample(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_interpolate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    alphas = parse_sweep(args.alphas)
+    alphas = None if args.alphas is None else parse_sweep(args.alphas)
     manifest, load = _inputs(args, out)
     model = _model(args, out)
 
@@ -452,13 +452,13 @@ def cmd_interpolate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     )
     _info(
         f"interpolate: {args.a} -> {args.b}, "
-        f"{len(sweep.ts)} points in [{alphas[0]:g}, {alphas[-1]:g}]"
+        f"{len(sweep.ts)} points in [{sweep.ts[0]:g}, {sweep.ts[-1]:g}]"
     )
     return EXIT_OK
 
 
 def cmd_denoise(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    betas = parse_sweep(args.beta_sweep)
+    betas = None if args.beta_sweep is None else parse_sweep(args.beta_sweep)
     manifest, load = _inputs(args, out)
     model = _model(args, out)
 
@@ -529,7 +529,7 @@ def cmd_lda(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
         vec_a = px_a.reshape(px_a.shape[0], -1)
         vec_b = px_b.reshape(px_b.shape[0], -1)
 
-    probe = lda_fit(vec_a, vec_b, labels=(args.class_a, args.class_b))
+    probe = lda_fit(vec_a, vec_b)
     points = project_scatter(probe, np.concatenate([vec_a, vec_b]))
     labels = [args.class_a] * len(idx_a) + [args.class_b] * len(idx_b)
     rows = [(points[i, 0], points[i, 1], labels[i]) for i in range(len(labels))]
@@ -570,9 +570,7 @@ def cmd_gauss_report(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int
     flat_px = pixels.reshape(pixels.shape[0], -1)
     rng = Rng(cfg.seed)
 
-    def pick_dims(total: int, stream: Rng):
-        if args.dims >= total:
-            return None
+    def pick_dims(total: int, stream: Rng) -> np.ndarray:
         return np.sort(stream.permutation(total)[: args.dims])
 
     spaces = {
@@ -582,8 +580,8 @@ def cmd_gauss_report(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int
 
     stat_rows, scatter_rows, summary = [], [], {}
     for name, (vectors, dims, scatter_rng) in spaces.items():
-        report = gaussianity_report(vectors, dims=dims)
-        for k, dim in enumerate(report.dims):
+        report = gaussianity_report(vectors[:, dims])
+        for k, dim in enumerate(dims):
             stat_rows.append(
                 (
                     name,
@@ -597,8 +595,8 @@ def cmd_gauss_report(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int
         for x, y in pair.points:
             scatter_rows.append((name, x, y))
         summary[name] = {
-            "n_samples": report.n_samples,
-            "n_dims": len(report.dims),
+            "n_samples": vectors.shape[0],
+            "n_dims": len(dims),
             "n_degenerate": int(report.degenerate.sum()),
             "mean_abs_skewness": report.mean_abs_skewness,
             "mean_abs_excess_kurtosis": report.mean_abs_excess_kurtosis,
@@ -776,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", metavar="FILE")
     p.add_argument("--a", required=True, metavar="UTT", help="first utterance id")
     p.add_argument("--b", required=True, metavar="UTT", help="second utterance id")
-    p.add_argument("--alphas", default="0.1:0.9:0.1", metavar="SWEEP",
+    p.add_argument("--alphas", metavar="SWEEP",
                    help="alpha sweep start:stop:step (default 0.1:0.9:0.1)")
 
     p = command("denoise", cmd_denoise,
@@ -785,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", metavar="FILE")
     p.add_argument("--utt", metavar="UTT",
                    help="noisy target (default: first held-out pair)")
-    p.add_argument("--beta-sweep", default="0:0.8:0.1", metavar="SWEEP",
+    p.add_argument("--beta-sweep", metavar="SWEEP",
                    help="beta sweep start:stop:step (default 0:0.8:0.1)")
 
     p = command("lda", cmd_lda, "two-class discriminant probe and scatter export")

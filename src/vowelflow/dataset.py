@@ -18,7 +18,7 @@ is a float64 sample array at the one rate (16 kHz) that `read_wav` enforces.
 
 Records are ordered deterministically; a noisy twin (when noise
 augmentation is configured) immediately follows its clean sibling and
-shares its utterance id.
+shares its utterance id and its segment id (`Manifest.segment_ids`).
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ class DatasetConfig:
     write_wavs: bool = False
 
     def __post_init__(self):
-        if FULL_FRAMES % self.image_size != 0:
+        if self.image_size < 1 or FULL_FRAMES % self.image_size != 0:
             raise ValueError(
-                f"image_size must divide {FULL_FRAMES}, got {self.image_size}"
+                f"image_size must be a positive divisor of {FULL_FRAMES}, got {self.image_size}"
             )
         if self.noise_snr_db is not None and not math.isfinite(self.noise_snr_db):
             raise ValueError(
@@ -141,6 +141,19 @@ class Manifest:
     def eval_indices(self) -> list[int]:
         train = set(self.train_utterances)
         return [i for i, e in enumerate(self.entries) if e.record.utterance_id not in train]
+
+    def segment_ids(self) -> list[str]:
+        """One id per entry: an utterance's first vowel segment keeps the
+        utterance id, its k-th later one is `<utt>.<k>` (k = 1, 2, ... in
+        manifest order).  A noisy twin shares its clean sibling's id."""
+        seen: dict[tuple[str, bool], int] = {}
+        ids = []
+        for e in self.entries:
+            utt = e.record.utterance_id
+            key = (utt, e.record.noise_snr_db is not None)
+            k = seen[key] = seen.get(key, -1) + 1
+            ids.append(f"{utt}.{k}" if k else utt)
+        return ids
 
     def select(self, vowel=None, gender=None, speaker=None, noisy=None) -> list[int]:
         out = []

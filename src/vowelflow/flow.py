@@ -64,8 +64,8 @@ class FlowConfig:
         c, h, w = self.input_shape
         if h != w:
             raise ValueError(f"input must be square, got {h}x{w}")
-        if self.levels < 1 or self.depth < 1 or self.coupling_width < 1:
-            raise ValueError("levels, depth and coupling_width must be positive")
+        if h < 1 or self.levels < 1 or self.depth < 1 or self.coupling_width < 1:
+            raise ValueError("input size, levels, depth and coupling_width must be positive")
         if h % (2**self.levels) != 0:
             raise ValueError(
                 f"size {h} not divisible by 2^levels = {2**self.levels}"
@@ -160,7 +160,7 @@ class InvConv:
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         y = np.einsum("oc,bchw->bohw", self.weight, x)
         h, w = x.shape[2], x.shape[3]
-        logdet = np.full(x.shape[0], h * w * lu_decompose(self.weight).log_abs_det)
+        logdet = np.full(x.shape[0], h * w * lu_decompose(self.weight))
         return y, logdet, x
 
     def inverse(self, y: np.ndarray) -> np.ndarray:

@@ -79,8 +79,8 @@ def sample(
     """Draw codes z = temperature * eps, eps ~ N(0, I); decode to pixels."""
     if n < 1:
         raise ValueError("need at least one sample")
-    if temperature < 0:
-        raise ValueError("temperature must be non-negative")
+    if not (math.isfinite(temperature) and temperature >= 0):
+        raise ValueError(f"temperature must be finite and non-negative, got {temperature}")
     z = temperature * rng.standard_normal((n, model.code_size))
     return z, decode_batch(model, z)
 
@@ -168,8 +168,6 @@ class GaussianityReport:
     skewness: np.ndarray
     excess_kurtosis: np.ndarray
     degenerate: np.ndarray
-    n_samples: int
-    dims: np.ndarray
 
     @property
     def mean_abs_skewness(self) -> float:
@@ -182,43 +180,32 @@ class GaussianityReport:
         return float(np.mean(np.abs(self.excess_kurtosis[ok]))) if ok.any() else math.nan
 
 
-def gaussianity_report(z: np.ndarray, dims=None) -> GaussianityReport:
-    """Skewness and excess kurtosis per code dimension.
+def gaussianity_report(z: np.ndarray) -> GaussianityReport:
+    """Skewness and excess kurtosis per code dimension (column of z).
 
     Both are biased sample moments (population convention): skewness
     m3 / m2^1.5 and excess kurtosis m4 / m2^2 - 3, which is 0 for a
     normal population.
 
-    `dims` optionally restricts the report to a subset of dimension
-    indices (useful when d is large).  Dimensions with exactly zero
-    variance are flagged degenerate, carry NaN statistics and stay out
-    of the aggregate means.
+    A constant column (max equal to min, whatever its m2 rounds to) is
+    flagged degenerate, carries NaN statistics and stays out of the
+    aggregate means.  The result does not depend on z's memory layout.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 2:
         raise ShapeError(f"need an (N >= 2, d) code array, got {z.shape}")
-    if dims is None:
-        dims = np.arange(z.shape[1])
-    else:
-        dims = np.asarray(dims, dtype=np.intp)
-        if dims.size < 1 or dims.min() < 0 or dims.max() >= z.shape[1]:
-            raise ShapeError(f"dimension indices out of range for d={z.shape[1]}")
-        z = z[:, dims]
-    c = z - z.mean(axis=0, keepdims=True)
-    m2 = np.mean(c**2, axis=0)
-    degenerate = m2 == 0.0
+    # one contiguous row per column: each sum runs in one order (numpy's
+    # pairwise summation) whatever z's memory layout
+    zt = np.ascontiguousarray(z.T)
+    c = zt - zt.mean(axis=1, keepdims=True)
+    m2 = np.mean(c**2, axis=1)
+    degenerate = zt.max(axis=1) == zt.min(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        skew = np.mean(c**3, axis=0) / m2**1.5
-        kurt = np.mean(c**4, axis=0) / m2**2 - 3.0
+        skew = np.mean(c**3, axis=1) / m2**1.5
+        kurt = np.mean(c**4, axis=1) / m2**2 - 3.0
     skew[degenerate] = math.nan
     kurt[degenerate] = math.nan
-    return GaussianityReport(
-        skewness=skew,
-        excess_kurtosis=kurt,
-        degenerate=degenerate,
-        n_samples=z.shape[0],
-        dims=dims,
-    )
+    return GaussianityReport(skewness=skew, excess_kurtosis=kurt, degenerate=degenerate)
 
 
 @dataclass
@@ -256,9 +243,6 @@ class LdaProbe:
 
     direction_1: np.ndarray
     direction_2: np.ndarray
-    mean_a: np.ndarray
-    mean_b: np.ndarray
-    labels: tuple[str, str]
     shrinkage: float
     fisher_ratio: float
 
@@ -268,9 +252,7 @@ def _deterministic_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[pivot] < 0 else v
 
 
-def lda_fit(
-    z_a: np.ndarray, z_b: np.ndarray, labels: tuple[str, str] = ("a", "b")
-) -> LdaProbe:
+def lda_fit(z_a: np.ndarray, z_b: np.ndarray) -> LdaProbe:
     """Fit the two-direction probe from two (N >= 2, d) code arrays."""
     z_a = np.asarray(z_a, dtype=np.float64)
     z_b = np.asarray(z_b, dtype=np.float64)
@@ -320,9 +302,6 @@ def lda_fit(
     return LdaProbe(
         direction_1=w1,
         direction_2=_deterministic_sign(w2),
-        mean_a=mean_a,
-        mean_b=mean_b,
-        labels=tuple(labels),
         shrinkage=lam,
         fisher_ratio=fisher_ratio(z_a, z_b, w1),
     )

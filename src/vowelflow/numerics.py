@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
@@ -36,8 +35,8 @@ class SingularMatrixError(ValueError):
 # random numbers
 
 
-class Rng:
-    """Counter-based random generator (Philox) with an explicit 64-bit seed.
+class Rng(np.random.Generator):
+    """Counter-based numpy Generator (Philox) with an explicit 64-bit seed.
 
     A fixed seed yields an identical sample stream on every platform.
     Instances are single-owner: never share one across threads; use
@@ -47,40 +46,25 @@ class Rng:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._spawn_key: tuple[int, ...] = ()
-        self._gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(self.seed))
-        )
+        super().__init__(np.random.Philox(np.random.SeedSequence(self.seed)))
 
     def spawn(self, index: int) -> "Rng":
         """Child stream `index`, independent of draws made from self.
 
-        The child's spawn key is self's plus `(index,)`, so a grandchild
-        never repeats a child of the root.
+        The child's spawn key is self's plus `(index,)`, so a grandchild never
+        repeats a child of the root.  Shadows numpy's `Generator.spawn(n)`.
         """
         child = Rng.__new__(Rng)
         child.seed = self.seed
         child._spawn_key = self._spawn_key + (int(index),)
         seq = np.random.SeedSequence(self.seed, spawn_key=child._spawn_key)
-        child._gen = np.random.Generator(np.random.Philox(seq))
+        np.random.Generator.__init__(child, np.random.Philox(seq))
         return child
-
-    def standard_normal(self, shape=None) -> np.ndarray | float:
-        return self._gen.standard_normal(size=shape)
-
-    def uniform(self, low: float, high: float, shape=None) -> np.ndarray | float:
-        return self._gen.uniform(low, high, size=shape)
-
-    def integers(self, low: int, high: int, size=None) -> int | np.ndarray:
-        out = self._gen.integers(low, high, size=size)
-        return int(out) if size is None else out
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
 
     @property
     def state(self) -> dict:
         """JSON-serializable snapshot of the generator state."""
-        st = self._gen.bit_generator.state
+        st = self.bit_generator.state
         return {
             "seed": self.seed,
             "counter": [int(v) for v in st["state"]["counter"]],
@@ -94,7 +78,7 @@ class Rng:
     @state.setter
     def state(self, snap: dict) -> None:
         self.seed = int(snap["seed"])
-        self._gen.bit_generator.state = {
+        self.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {
                 "counter": np.array(snap["counter"], dtype=np.uint64),
@@ -111,23 +95,10 @@ class Rng:
 # linear algebra
 
 
-@dataclass
-class LuFactors:
-    """Diagonal of U in a partial-pivoting LU factorization P A = L U."""
+def lu_decompose(a: np.ndarray) -> float:
+    """ln |det a| = sum of ln |U_ii| from partial-pivoting LU (LAPACK getrf).
 
-    u_diag: np.ndarray
-
-    @property
-    def log_abs_det(self) -> float:
-        """ln |det A| = sum of ln |U_ii|."""
-        return float(np.sum(np.log(np.abs(self.u_diag))))
-
-
-def lu_decompose(a: np.ndarray) -> LuFactors:
-    """LU factorization with partial (row) pivoting (LAPACK getrf).
-
-    Raises SingularMatrixError when a pivot falls below PIVOT_TOL in
-    absolute value.
+    Raises SingularMatrixError when a pivot's magnitude is below PIVOT_TOL.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -141,7 +112,7 @@ def lu_decompose(a: np.ndarray) -> LuFactors:
     if small.size:
         k = small[0]
         raise SingularMatrixError(f"pivot {u_diag[k]:.3e} below {PIVOT_TOL} at column {k}")
-    return LuFactors(u_diag=u_diag)
+    return float(np.sum(np.log(np.abs(u_diag))))
 
 
 def mat_inverse(a: np.ndarray) -> np.ndarray:

@@ -67,6 +67,9 @@ class TrainConfig:
     checkpoint_every: int = 100
 
     def __post_init__(self):
+        floats = ("lr", "beta1", "beta2", "eps", "clip_norm", "jitter")
+        if not all(math.isfinite(getattr(self, name)) for name in floats):
+            raise ValueError(f"{', '.join(floats)} must be finite")
         if self.steps < 1 or self.batch_size < 1 or self.checkpoint_every < 1:
             raise ValueError("steps, batch_size and checkpoint_every must be >= 1")
         if self.lr <= 0 or self.eps <= 0 or self.clip_norm <= 0:
@@ -401,14 +404,11 @@ def train_loop(
 class GradAuditEntry:
     name: str
     index: tuple
-    analytic: float
-    numeric: float
     rel_err: float
 
 
 @dataclass
 class GradAuditReport:
-    h: float
     tolerance: float
     entries: list[GradAuditEntry]
 
@@ -464,15 +464,15 @@ def grad_audit(
     masks (a kink lies between them), the entry is probed again at h/10,
     then at h/100.
     """
-    if h <= 0:
-        raise ValueError("finite-difference step h must be positive")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"finite-difference step h must be finite and positive, got {h}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     batch = np.asarray(batch, dtype=np.float64)
     scale = batch.shape[0] * model.code_size
     _, grads = loss_and_grads(model, batch)
     params = model.params()
-    report = GradAuditReport(h=h, tolerance=tolerance, entries=[])
+    report = GradAuditReport(tolerance=tolerance, entries=[])
     for name, arr in params.items():
         n = arr.size
         take = min(entries_per_param, n)
@@ -493,5 +493,5 @@ def grad_audit(
             analytic = float(grads[name].reshape(-1)[pos]) * scale
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
             idx = tuple(int(i) for i in np.unravel_index(pos, arr.shape))
-            report.entries.append(GradAuditEntry(name, idx, analytic, numeric, rel))
+            report.entries.append(GradAuditEntry(name, idx, rel))
     return report

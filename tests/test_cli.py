@@ -287,6 +287,53 @@ class TestExitCodes:
         assert calls == []
         assert not (out / "manifest.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [("synth-data", "data.image_size", "0", "image_size must be a positive divisor"),
+         ("synth-data", "data.image_size", "-32", "image_size must be a positive divisor"),
+         ("grad-audit", "data.image_size", "0", "input size, levels, depth"),
+         ("grad-audit", "data.image_size", "-32", "input size, levels, depth"),
+         ("train", "train.clip_norm", "nan", "clip_norm, jitter must be finite"),
+         ("train", "train.eps", "inf", "clip_norm, jitter must be finite"),
+         ("train", "train.lr", "nan", "clip_norm, jitter must be finite"),
+         ("train", "train.lr", "inf", "clip_norm, jitter must be finite"),
+         ("train", "train.jitter", "inf", "clip_norm, jitter must be finite")],
+    )
+    def test_out_of_range_config_value_rejected_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, key, value, message
+    ):
+        calls = []
+        monkeypatch.setattr(dataset, "stft", lambda *a: calls.append(a))
+        out = tmp_path / "out"
+        rc = main([f"--{key}", value, "--out-dir", str(out), command])
+        assert rc == EXIT_RUNTIME
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert list(out.iterdir()) == []
+
+    def test_reconstruct_names_later_segments_of_an_utterance(self, tmp_path, capsys):
+        # one utterance holding /aa/ then a 226-frame /iy/: the second
+        # segment's id is <utt>.1, and its noisy twin shares it
+        speaker = tmp_path / "timit" / "dr1" / "MABC0"
+        speaker.mkdir(parents=True)
+        aa = synth_vowel(Rng(1), "aa", 120.0, 0.2)
+        iy = synth_vowel(Rng(2), "iy", 130.0, 0.25)
+        write_wav(speaker / "sx1.wav", np.concatenate([aa, iy]))
+        n, m = len(aa), len(aa) + len(iy)
+        (speaker / "sx1.phn").write_text(f"0 {n} aa\n{n} {m} iy\n")
+        out = tmp_path / "out"
+        flags = ["--data.noise_snr_db", "10", "--data.write_wavs", "true", "--out-dir", str(out)]
+        assert main(flags + ["prepare", "--corpus-root", str(tmp_path / "timit")]) == EXIT_OK
+        assert load_manifest(out).segment_ids() == [
+            "dr1_MABC0_sx1", "dr1_MABC0_sx1", "dr1_MABC0_sx1.1", "dr1_MABC0_sx1.1"
+        ]
+        capsys.readouterr()
+        assert main(flags + ["reconstruct", "--utt", "dr1_MABC0_sx1.1"]) == EXIT_OK
+        assert "(226 frames)" in capsys.readouterr().err
+        assert len(read_wav(out / "recon_dr1_MABC0_sx1.1.wav")) == len(iy)
+        assert main(flags + ["reconstruct", "--utt", "dr1_MABC0_sx1.2"]) == EXIT_RUNTIME
+        assert "no clean segment with id 'dr1_MABC0_sx1.2'" in capsys.readouterr().err
+
     def test_missing_corpus_is_runtime_error(self, tmp_path, capsys):
         assert run(tmp_path / "empty", "train") == EXIT_RUNTIME
         assert "error" in capsys.readouterr().err.lower()
@@ -387,12 +434,17 @@ class TestSweepParsing:
     def test_beta_sweep_has_nine_points(self):
         assert_allclose(parse_sweep("0:0.8:0.1"), np.linspace(0.0, 0.8, 9))
 
-    def test_default_sweeps_equal_latent_defaults(self):
+    def test_default_sweeps_equal_latent_defaults(self, capsys):
+        # an absent flag leaves the sweep to the library's default, and the
+        # sweep that --help names as the default parses to the same bits
         parser = build_parser()
-        alphas = parser.parse_args(["interpolate", "--a", "x", "--b", "y"]).alphas
-        betas = parser.parse_args(["denoise"]).beta_sweep
-        assert parse_sweep(alphas).tobytes() == np.array(DEFAULT_INTERP_ALPHAS).tobytes()
-        assert parse_sweep(betas).tobytes() == np.array(DEFAULT_DENOISE_BETAS).tobytes()
+        assert parser.parse_args(["interpolate", "--a", "x", "--b", "y"]).alphas is None
+        assert parser.parse_args(["denoise"]).beta_sweep is None
+        for command, text, default in (("interpolate", "0.1:0.9:0.1", DEFAULT_INTERP_ALPHAS),
+                                       ("denoise", "0:0.8:0.1", DEFAULT_DENOISE_BETAS)):
+            assert main([command, "--help"]) == EXIT_OK
+            assert f"(default {text})" in " ".join(capsys.readouterr().out.split())
+            assert parse_sweep(text).tobytes() == np.array(default).tobytes()
 
     def test_single_value(self):
         assert_allclose(parse_sweep("0.45"), [0.45])

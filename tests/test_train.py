@@ -559,10 +559,11 @@ class TestGradAudit:
     def test_zero_step_rejected(self):
         model = make_identity_model(tiny_config())
         batch = np.zeros((1, 1, 4, 4))
-        with pytest.raises(ValueError):
-            grad_audit(model, batch, h=0.0)
-        with pytest.raises(ValueError):
-            grad_audit(model, batch, tolerance=-1.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                grad_audit(model, batch, h=bad)
+            with pytest.raises(ValueError):
+                grad_audit(model, batch, tolerance=bad)
 
     def test_worst_entry_reported(self):
         model = make_random_model(tiny_config(), seed=12, perturb_coupling=0.3)
