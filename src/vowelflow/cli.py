@@ -660,7 +660,8 @@ def cmd_reconstruct(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 def cmd_grad_audit(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     flow_config = cfg.flow_config()
-    model = build_model(flow_config, cfg.seed)
+    # float64 gradients: central differences cannot resolve float32 rounding
+    model = build_model(flow_config, cfg.seed, grad_dtype=np.float64)
     rng = Rng(cfg.seed)
 
     # The coupling output layers initialize to zero, which would leave the

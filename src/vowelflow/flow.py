@@ -20,7 +20,9 @@ Every layer (`ActNorm`, `InvConv`, `AffineCoupling`) keeps one contract:
 halves split off at each level are concatenated into z; only
 `FlowModel` knows that layout.
 
-Shape convention: tensors are batched, (B, C, H, W).
+Shape convention: tensors are batched, (B, C, H, W), and float64.  Only
+the coupling nets' conv gradients run in float32 inside `backward`, by
+default (`grad_dtype`).
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from .numerics import (
 )
 
 LN_2PI = math.log(2.0 * math.pi)
+# dtype of the coupling nets' conv gradients unless a model asks otherwise
+GRAD_DTYPE = np.float32
 
 
 class NonFiniteError(FloatingPointError):
@@ -186,12 +190,23 @@ class AffineCoupling:
     (s, t) = Net(x_a); scale = exp(2 tanh(s)); y_b = x_b * scale + t.
     The output conv is zero-initialized so the layer starts as the
     identity, and the tanh bounds the scale in [e^-2, e^2].
+
+    Forward and inverse run the net in float64.  `backward` runs its three
+    conv gradients in `grad_dtype`: float32 halves their cost, and the
+    parameter and input gradients it returns are float64 either way.  The
+    net must not run in float32 forward: a float32 net is a step function
+    of x_a, and in a stack the inverse rebuilds x_a only to float64
+    rounding, so an x_a near a float32 rounding boundary can round the
+    other way and move x_b by a float32 ulp.
     """
 
-    def __init__(self, channels: int, width: int, rng: Rng | None = None):
+    def __init__(
+        self, channels: int, width: int, rng: Rng | None = None, grad_dtype=GRAD_DTYPE
+    ):
         if channels % 2 != 0:
             raise ShapeError(f"coupling needs an even channel count, got {channels}")
         self.half = channels // 2
+        self.grad_dtype = np.dtype(grad_dtype)
         kw = {"w1": (width, self.half), "w2": (width, width), "w3": (channels, width)}
         self.w1 = self._he_init(kw["w1"], rng)
         self.b1 = np.zeros(width)
@@ -234,8 +249,7 @@ class AffineCoupling:
     def backward(
         self, cache: dict, grad_y: np.ndarray, grad_logdet: np.ndarray
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        xa, xb = cache["xa"], cache["xb"]
-        th, scale = cache["th"], cache["scale"]
+        xb, th, scale = cache["xb"], cache["th"], cache["scale"]
         grad_ya, grad_yb = grad_y[:, :self.half], grad_y[:, self.half:]
 
         grad_xb = grad_yb * scale
@@ -245,15 +259,20 @@ class AffineCoupling:
         grad_sraw = grad_th * (1.0 - th * th)
         grad_out = np.concatenate([grad_sraw, grad_t], axis=1)
 
-        grad_a2, gw3, gb3 = conv2d_backward(grad_out, cache["a2"], self.w3)
+        grad_out, xa, a1, a2, w1, w2, w3 = (
+            arr.astype(self.grad_dtype, copy=False)
+            for arr in (grad_out, cache["xa"], cache["a1"], cache["a2"],
+                        self.w1, self.w2, self.w3)
+        )
+        grad_a2, gw3, gb3 = conv2d_backward(grad_out, a2, w3)
         grad_h2 = grad_a2 * (cache["a2"] > 0)
-        grad_a1, gw2, gb2 = conv2d_backward(grad_h2, cache["a1"], self.w2)
+        grad_a1, gw2, gb2 = conv2d_backward(grad_h2, a1, w2)
         grad_h1 = grad_a1 * (cache["a1"] > 0)
-        grad_xa_net, gw1, gb1 = conv2d_backward(grad_h1, xa, self.w1)
+        grad_xa_net, gw1, gb1 = conv2d_backward(grad_h1, xa, w1)
 
         grad_x = np.concatenate([grad_ya + grad_xa_net, grad_xb], axis=1)
         grads = {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2, "w3": gw3, "b3": gb3}
-        return grad_x, grads
+        return grad_x, {k: g.astype(np.float64, copy=False) for k, g in grads.items()}
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
@@ -293,10 +312,16 @@ Layer = ActNorm | InvConv | AffineCoupling
 class FlowModel:
     """Multi-scale stack: per level squeeze, K steps of actnorm -> invertible
     1x1 conv -> affine coupling, then split half the channels out to the
-    code (the last level emits everything)."""
+    code (the last level emits everything).
 
-    def __init__(self, config: FlowConfig, rng: Rng | None = None):
+    `grad_dtype` is the dtype of the coupling nets' conv gradients (see
+    `AffineCoupling`).  Finite-difference checks need float64, because
+    float32 rounding swamps a central difference.
+    """
+
+    def __init__(self, config: FlowConfig, rng: Rng | None = None, grad_dtype=GRAD_DTYPE):
         self.config = config
+        self.grad_dtype = np.dtype(grad_dtype)
         self.layers: list[list[tuple[str, Layer]]] = []
         c = config.input_shape[0]
         size = config.input_shape[1]
@@ -311,7 +336,8 @@ class FlowModel:
                 named += [
                     (f"{prefix}.actnorm", ActNorm(c)),
                     (f"{prefix}.invconv", InvConv(c, rng)),
-                    (f"{prefix}.coupling", AffineCoupling(c, config.coupling_width, rng)),
+                    (f"{prefix}.coupling",
+                     AffineCoupling(c, config.coupling_width, rng, self.grad_dtype)),
                 ]
             self.layers.append(named)
             out_c = c if level == config.levels - 1 else c // 2

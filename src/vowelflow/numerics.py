@@ -2,7 +2,9 @@
 
 Conventions used throughout the package:
 
-* tensors are ``numpy.ndarray`` of float64, row-major (C order);
+* tensors are ``numpy.ndarray`` of float64, row-major (C order); the
+  convolutions alone also run in float32, for the flow's coupling-net
+  gradients, and take all operands in one dtype;
 * convolution means cross-correlation (no kernel flip) with "same"
   zero padding and odd kernel extents;
 * every public operation returns finite values unless its contract
@@ -132,8 +134,13 @@ def mat_inverse(a: np.ndarray) -> np.ndarray:
 # convolution
 
 
-def _check_operands(x: np.ndarray, kernel: np.ndarray) -> None:
-    """Kernel OxCxKHxKW with odd extents; batched input (B, C, H, W)."""
+def _check_operands(x: np.ndarray, kernel: np.ndarray, other: np.ndarray) -> None:
+    """Kernel OxCxKHxKW with odd extents; batched input (B, C, H, W); the
+    input, the kernel and `other` (bias or grad_out) in one dtype, so a
+    missed cast cannot promote a float32 conv to float64."""
+    dtypes = {x.dtype, kernel.dtype, other.dtype}
+    if len(dtypes) != 1:
+        raise ShapeError(f"conv operands mix dtypes {sorted(map(str, dtypes))}")
     if kernel.ndim != 4:
         raise ShapeError(f"kernel must be OxCxKHxKW, got {kernel.shape}")
     _, _, kh, kw = kernel.shape
@@ -159,7 +166,7 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
     (B, C, H, W) input -> (B, O, H, W) output, in the operands' dtype.
     """
-    _check_operands(x, kernel)
+    _check_operands(x, kernel, bias)
     if bias.shape != (kernel.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} does not match {kernel.shape[0]} outputs")
     o, c, kh, kw = kernel.shape
@@ -180,7 +187,7 @@ def conv2d_backward(
     `grad_out` is the cotangent of the output; shapes must match the
     corresponding forward call.
     """
-    _check_operands(x, kernel)
+    _check_operands(x, kernel, grad_out)
     o, c, kh, kw = kernel.shape
     if grad_out.shape != (x.shape[0], o, x.shape[2], x.shape[3]):
         raise ShapeError(

@@ -2,7 +2,8 @@
 
 The objective is the negative mean log likelihood per dimension
 (nats/dim).  Gradients come from the layers' hand-derived backward
-passes, are clipped by global norm, and feed an Adam update with bias
+passes (the coupling nets' conv gradients in float32 by default), are
+clipped by global norm, and feed a float64 Adam update with bias
 correction.  All randomness used by the loop (batch sampling and
 dequantization jitter) flows from one counter-based stream whose state
 is checkpointed, so a resumed run reproduces a straight run bit for
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import AffineCoupling, FlowConfig, FlowModel, NonFiniteError, prior_logprob
+from .flow import GRAD_DTYPE, AffineCoupling, FlowConfig, FlowModel, NonFiniteError, prior_logprob
 from .numerics import Rng, read_exact, read_tensor_from, write_tensor_to
 
 CHECKPOINT_MAGIC = b"FSCK"
@@ -299,9 +300,9 @@ def _cut_metrics(path: str, step: int) -> None:
         fh.truncate(keep)
 
 
-def build_model(flow_config: FlowConfig, seed: int) -> FlowModel:
+def build_model(flow_config: FlowConfig, seed: int, grad_dtype=GRAD_DTYPE) -> FlowModel:
     """Fresh model whose init draws come from a stream reserved for init."""
-    return FlowModel(flow_config, rng=Rng(seed).spawn(0))
+    return FlowModel(flow_config, rng=Rng(seed).spawn(0), grad_dtype=grad_dtype)
 
 
 def train_loop(
@@ -325,8 +326,10 @@ def train_loop(
     whose batch data-initializes every actnorm.  `comment` becomes a `#`
     line at the top of a fresh metrics file.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 4 or data.shape[0] < 1:
+    # before the metrics file is opened: a mismatched corpus must not cut
+    # the log of a run already in `out_dir`
+    data = model.check_input(data)
+    if data.shape[0] < 1:
         raise ValueError(f"expected a non-empty (N, C, H, W) array, got {data.shape}")
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(os.fspath(out_dir), "metrics.csv")
@@ -463,7 +466,12 @@ def grad_audit(
     over [-h, +h].  When the two evaluations see different coupling ReLU
     masks (a kink lies between them), the entry is probed again at h/10,
     then at h/100.
+
+    The model's `grad_dtype` must be float64: float32 gradients differ
+    from exact ones by more than a central difference resolves.
     """
+    if model.grad_dtype != np.float64:
+        raise ValueError(f"grad_audit needs a float64 grad_dtype, got {model.grad_dtype}")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"finite-difference step h must be finite and positive, got {h}")
     if not (math.isfinite(tolerance) and tolerance > 0):

@@ -16,10 +16,11 @@ def make_identity_model(config=None):
     return FlowModel(config or FlowConfig(), rng=None)
 
 
-def make_random_model(config, seed=0, batch=None, perturb_coupling=0.0):
-    """Randomly initialized model with actnorms set from a data batch."""
+def make_random_model(config, seed=0, batch=None, perturb_coupling=0.0, **model_kw):
+    """Randomly initialized model with actnorms set from a data batch;
+    `model_kw` goes to `FlowModel` (e.g. `grad_dtype`)."""
     rng = Rng(seed)
-    model = FlowModel(config, rng=rng)
+    model = FlowModel(config, rng=rng, **model_kw)
     if perturb_coupling:
         for name, arr in model.params().items():
             if name.endswith("coupling.w3") or name.endswith("coupling.b3"):

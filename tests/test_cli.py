@@ -360,6 +360,19 @@ class TestExitCodes:
         assert rc == EXIT_RUNTIME
         assert "diverge" in capsys.readouterr().err.lower()
 
+    def test_mismatched_image_size_leaves_a_finished_run_intact(self, tmp_path, capsys):
+        base = ["--seed", "5", "--synth.n_speakers", "2", "--synth.draws_per_vowel", "3",
+                "--out-dir", str(tmp_path)]
+        assert main(base + ["synth-data"]) == EXIT_OK
+        assert main(base + ["--train.steps", "3", "train"]) == EXIT_OK
+        kept = ("metrics.csv", "checkpoint.fsck")
+        before = [(tmp_path / name).read_bytes() for name in kept]
+        capsys.readouterr()
+        rc = main(base + ["--data.image_size", "16", "--train.steps", "1", "train"])
+        assert rc == EXIT_RUNTIME
+        assert "expected batch of (1, 16, 16)" in capsys.readouterr().err
+        assert [(tmp_path / name).read_bytes() for name in kept] == before
+
     def test_failed_audit_is_runtime_error(self, tmp_path):
         rc = run(tmp_path, "grad-audit", "--tolerance", "1e-14")
         assert rc == EXIT_RUNTIME

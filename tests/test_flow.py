@@ -264,7 +264,7 @@ class TestAffineCoupling:
 
     def test_backward_matches_fd(self):
         rng = Rng(21)
-        layer = self._active_layer()
+        layer = self._active_layer(grad_dtype=np.float64)
         x = rng.standard_normal((2, 2, 3, 3))
         u = rng.standard_normal((2, 2, 3, 3))
         v = rng.standard_normal(2)
@@ -286,9 +286,9 @@ class TestAffineCoupling:
             assert rel_err(grad_x[idx], (lp - lm) / (2 * FD_STEP)) <= 2e-6
 
     @staticmethod
-    def _active_layer(magnitude=0.5):
+    def _active_layer(magnitude=0.5, **layer_kw):
         rng = Rng(22)
-        layer = AffineCoupling(2, 4, rng)
+        layer = AffineCoupling(2, 4, rng, **layer_kw)
         layer.w3[...] = rng.standard_normal(layer.w3.shape) * magnitude
         layer.b3[...] = rng.standard_normal(layer.b3.shape) * magnitude
         return layer
@@ -457,7 +457,9 @@ class TestModelForwardInverse:
 
 class TestModelBackward:
     def test_likelihood_gradients_match_fd(self):
-        model = make_random_model(tiny_config(), seed=34, perturb_coupling=0.3)
+        model = make_random_model(
+            tiny_config(), seed=34, perturb_coupling=0.3, grad_dtype=np.float64
+        )
         x = Rng(35).standard_normal((2, 1, 4, 4))
 
         def loss():

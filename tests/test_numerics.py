@@ -250,6 +250,19 @@ class TestConv2dBackward:
             with pytest.raises(ShapeError):
                 op(np.zeros((1, 4, 4)))
 
+    @pytest.mark.parametrize("operand", range(3))
+    def test_mixed_dtypes_rejected(self, operand):
+        # one float32 operand among float64 ones: no silent promotion
+        rng = Rng(35)
+        fwd = [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((3, 2, 3, 3)),
+               rng.standard_normal(3)]
+        bwd = [rng.standard_normal((1, 3, 4, 4)), fwd[0], fwd[1]]
+        for op, args in ((conv2d, fwd), (conv2d_backward, bwd)):
+            args = list(args)
+            args[operand] = args[operand].astype(np.float32)
+            with pytest.raises(ShapeError, match="mix dtypes"):
+                op(*args)
+
 
 # ---------------------------------------------------------------------------
 # rng

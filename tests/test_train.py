@@ -15,7 +15,7 @@ import pytest
 
 from conftest import make_identity_model, make_random_model, tiny_config
 from vowelflow import train
-from vowelflow.flow import LN_2PI, FlowConfig
+from vowelflow.flow import LN_2PI, FlowConfig, FlowModel
 from vowelflow.latent import encode_batch
 from vowelflow.numerics import Rng, ShapeError
 from vowelflow.train import (
@@ -107,7 +107,9 @@ class TestNll:
         assert set(grads) == set(model.params())
 
     def test_duplicating_the_batch_keeps_gradients(self):
-        model = make_random_model(tiny_config(), seed=34, perturb_coupling=0.3)
+        model = make_random_model(
+            tiny_config(), seed=34, perturb_coupling=0.3, grad_dtype=np.float64
+        )
         x = Rng(35).standard_normal((2, 1, 4, 4))
         _, g1 = loss_and_grads(model, x)
         _, g2 = loss_and_grads(model, np.concatenate([x, x], axis=0))
@@ -198,6 +200,55 @@ class TestAdam:
         params = {"a": np.array([0.0])}
         state = AdamState.zeros_like(params)
         assert adam_step(params, {"a": np.array([12.0])}, state, cfg) == 12.0
+
+
+class TestFloat32Gradients:
+    """A default model computes its coupling-net conv gradients in float32;
+    the gradients, parameters and Adam state they feed stay float64."""
+
+    # Worst per-group relative gradient difference from float64 gradients
+    # of the same model, measured on the desk model over seeds 0-9 (B=4,
+    # output convs nudged by 0.1 as grad-audit does): 1.3e-6.
+    GRAD_RTOL = 1e-5
+
+    @staticmethod
+    def desk_pair(seed):
+        m32 = build_model(FlowConfig(), seed)
+        m64 = build_model(FlowConfig(), seed, grad_dtype=np.float64)
+        nudge = Rng(seed).spawn(2)
+        for name, p in m64.params().items():
+            if name.endswith(("coupling.w3", "coupling.b3")):
+                p += 0.1 * nudge.standard_normal(p.shape)
+        batch = Rng(seed).spawn(1).standard_normal((4, 1, 32, 32))
+        m64.forward(batch, init_actnorm=True)
+        m32.set_params(m64.params())
+        return m32, m64, batch
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gradients_match_float64(self, seed):
+        m32, m64, batch = self.desk_pair(seed)
+        loss32, g32 = loss_and_grads(m32, batch)
+        loss64, g64 = loss_and_grads(m64, batch)
+        assert loss32 == loss64  # the forward pass is float64 either way
+        for name, g in g64.items():
+            assert g32[name].dtype == np.float64, name
+            rel = np.linalg.norm(g32[name] - g) / np.linalg.norm(g)
+            assert rel <= self.GRAD_RTOL, f"{name}: {rel:.2e}"
+
+    def test_adam_keeps_params_and_moments_float64(self):
+        m32, _, batch = self.desk_pair(0)
+        params = m32.params()
+        state = AdamState.zeros_like(params)
+        _, grads = loss_and_grads(m32, batch)
+        adam_step(params, grads, state, TrainConfig())
+        for name, p in m32.params().items():
+            arrays = (p, state.m[name], state.v[name])
+            assert [a.dtype for a in arrays] == [np.float64] * 3, name
+
+    def test_grad_audit_rejects_float32_gradients(self):
+        model = build_model(tiny_config(), seed=8)
+        with pytest.raises(ValueError, match="float64 grad_dtype"):
+            grad_audit(model, Rng(9).standard_normal((3, 1, 4, 4)))
 
 
 class TestTrainConfig:
@@ -541,7 +592,9 @@ class TestTrainLoop:
 
 class TestGradAudit:
     def test_random_model_passes(self):
-        model = make_random_model(tiny_config(), seed=8, perturb_coupling=0.3)
+        model = make_random_model(
+            tiny_config(), seed=8, perturb_coupling=0.3, grad_dtype=np.float64
+        )
         batch = Rng(9).standard_normal((3, 1, 4, 4))
         report = grad_audit(model, batch)
         assert isinstance(report, GradAuditReport)
@@ -549,7 +602,9 @@ class TestGradAudit:
         assert report.max_rel_err < 1e-6
 
     def test_covers_every_parameter(self):
-        model = make_random_model(tiny_config(), seed=10, perturb_coupling=0.3)
+        model = make_random_model(
+            tiny_config(), seed=10, perturb_coupling=0.3, grad_dtype=np.float64
+        )
         batch = Rng(11).standard_normal((2, 1, 4, 4))
         report = grad_audit(model, batch, entries_per_param=2)
         assert {e.name for e in report.entries} == set(model.params())
@@ -557,7 +612,7 @@ class TestGradAudit:
         assert len(report.entries) == sum(min(2, s) for s in sizes.values())
 
     def test_zero_step_rejected(self):
-        model = make_identity_model(tiny_config())
+        model = FlowModel(tiny_config(), grad_dtype=np.float64)
         batch = np.zeros((1, 1, 4, 4))
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
@@ -566,19 +621,23 @@ class TestGradAudit:
                 grad_audit(model, batch, tolerance=bad)
 
     def test_worst_entry_reported(self):
-        model = make_random_model(tiny_config(), seed=12, perturb_coupling=0.3)
+        model = make_random_model(
+            tiny_config(), seed=12, perturb_coupling=0.3, grad_dtype=np.float64
+        )
         batch = Rng(13).standard_normal((2, 1, 4, 4))
         report = grad_audit(model, batch)
         assert report.worst.rel_err == report.max_rel_err
 
     def test_identity_model_is_near_exact(self):
-        model = make_identity_model(tiny_config())
+        model = FlowModel(tiny_config(), grad_dtype=np.float64)
         batch = Rng(14).standard_normal((2, 1, 4, 4))
         report = grad_audit(model, batch)
         assert report.max_rel_err < 1e-7
 
     def test_group_max_covers_every_parameter(self):
-        model = make_random_model(tiny_config(), seed=15, perturb_coupling=0.3)
+        model = make_random_model(
+            tiny_config(), seed=15, perturb_coupling=0.3, grad_dtype=np.float64
+        )
         batch = Rng(16).standard_normal((2, 1, 4, 4))
         report = grad_audit(model, batch)
         groups = report.group_max()
