@@ -2,8 +2,10 @@
 
 Each vowel segment goes through one front end: `segment_to_spectrogram`
 takes its (T, 257) STFT magnitude (None past FULL_FRAMES frames) and
-`magnitude_to_image` shapes that into the normalized (1, S, S) image;
-`image_to_magnitude` is the way back.
+`magnitude_to_image` shapes that into the (1, S, S) image: the log
+magnitude ln(mag + MAG_FLOOR), padded to FULL_FRAMES x FULL_FRAMES,
+average-pooled to S, then normalized by the training split's stats
+(`normalize`).  `image_to_magnitude` is the way back.
 
 A corpus directory holds three files:
 
@@ -19,14 +21,19 @@ is a float64 sample array at the one rate (16 kHz) that `read_wav` enforces.
 Records are ordered deterministically; a noisy twin (when noise
 augmentation is configured) immediately follows its clean sibling and
 shares its utterance id and its segment id (`Manifest.segment_ids`).
+`build_corpus` streams: it holds one segment's audio and spectrogram at
+a time, whatever the corpus size.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -39,7 +46,6 @@ from .signal import (
     add_white_noise,
     denormalize,
     istft_phase_borrow,
-    log_normalize,
     read_wav,
     stft,
     synth_vowel,
@@ -227,32 +233,41 @@ def extract_segments(
 # spectrogram shaping
 
 
+def normalize(v, stats: tuple[float, float]):
+    """(v - mean) / std: a log magnitude to image units (`denormalize` undoes
+    it together with the log)."""
+    mean, std = stats
+    return (v - mean) / std
+
+
 def padding_value(stats: tuple[float, float]) -> float:
-    """Image of magnitude zero under log_normalize: the padding constant."""
-    return float(log_normalize(np.zeros(1), stats)[0])
+    """Image of magnitude zero: the padding constant."""
+    return normalize(math.log(MAG_FLOOR), stats)
 
 
-def _pool(image: np.ndarray, size: int) -> np.ndarray:
-    factor = image.shape[0] // size
-    return image.reshape(size, factor, size, factor).mean(axis=(1, 3))
+def _log_image(logs: np.ndarray, image_size: int) -> np.ndarray:
+    """(T, bins) log magnitude -> (S, S) padded, pooled, un-normalized image."""
+    image = np.full((FULL_FRAMES, FULL_FRAMES), math.log(MAG_FLOOR))
+    image[: logs.shape[0], : logs.shape[1]] = logs
+    if image_size == FULL_FRAMES:
+        return image
+    factor = FULL_FRAMES // image_size
+    return image.reshape(image_size, factor, image_size, factor).mean(axis=(1, 3))
 
 
 def magnitude_to_image(
     mag: np.ndarray, stats: tuple[float, float], image_size: int
 ) -> np.ndarray:
-    """(T <= FULL_FRAMES, bins) STFT magnitude -> (1, S, S) normalized image.
+    """(T <= FULL_FRAMES, bins) STFT magnitude -> (1, S, S) image.
 
-    Appends FREQ_ZERO_BANDS zero frequency bands, normalizes, pads the time
-    axis to FULL_FRAMES frames (padding rows take the normalized-zero
-    constant), then average-pools to `image_size` when a desk-scale size is
-    configured.
+    Takes ln(mag + MAG_FLOOR), pads it with ln(MAG_FLOOR) (the log of
+    magnitude zero) to FULL_FRAMES time frames and FULL_FRAMES bands,
+    average-pools it to `image_size`, then normalizes.  `build_corpus`
+    writes the same image, normalizing in its second pass.
     """
-    image = np.full((FULL_FRAMES, FULL_FRAMES), padding_value(stats))
-    # the zero bands and padding rows already hold the normalized zero
-    image[: mag.shape[0], : mag.shape[1]] = log_normalize(mag, stats)
-    if image_size != FULL_FRAMES:
-        image = _pool(image, image_size)
-    return image[None]
+    if np.any(mag < 0):
+        raise ValueError("magnitudes must be nonnegative")
+    return normalize(_log_image(np.log(mag + MAG_FLOOR), image_size), stats)[None]
 
 
 def image_to_magnitude(image: np.ndarray, stats: tuple[float, float]) -> np.ndarray:
@@ -296,12 +311,12 @@ def segment_to_spectrogram(samples: np.ndarray) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# corpus sources: lists of (record, segment audio)
+# corpus sources: streams of (record, segment audio)
 
 
 def _synthetic_segments(
     spec: SyntheticSpec, rng: Rng
-) -> list[tuple[SegmentRecord, np.ndarray]]:
+) -> Iterator[tuple[SegmentRecord, np.ndarray]]:
     speaker_rng = rng.spawn(0)
     draw_rng = rng.spawn(1)
     speakers = []
@@ -310,21 +325,18 @@ def _synthetic_segments(
         shift = speaker_rng.uniform(*_SHIFT_RANGE[gender])
         speakers.append((f"spk{i:02d}", gender, shift))
 
-    out = []
     for spk, gender, shift in speakers:
         for vowel in spec.vowels:
             for draw in range(spec.draws_per_vowel):
                 f0 = draw_rng.uniform(*_F0_RANGE[gender])
                 duration = draw_rng.uniform(*_DURATION_RANGE)
                 audio = synth_vowel(draw_rng, vowel, f0, duration, shift)
-                rec = SegmentRecord(f"{spk}_{vowel}_{draw:03d}", spk, gender, vowel)
-                out.append((rec, audio))
-    return out
+                yield SegmentRecord(f"{spk}_{vowel}_{draw:03d}", spk, gender, vowel), audio
 
 
-def _real_corpus_segments(root: Path, vowels) -> list[tuple[SegmentRecord, np.ndarray]]:
-    """Walk a "<dialect>/<G><ID>/<utt>.phn" tree with sibling WAV files."""
-    out = []
+def _real_corpus_segments(root: Path, vowels) -> Iterator[tuple[SegmentRecord, np.ndarray]]:
+    """Walk a "<dialect>/<G><ID>/<utt>.phn" tree with sibling WAV files,
+    reading one utterance at a time."""
     for phn in sorted(root.rglob("*.phn")):
         wav_path = phn.with_suffix(".wav")
         if not wav_path.exists():
@@ -348,11 +360,8 @@ def _real_corpus_segments(root: Path, vowels) -> list[tuple[SegmentRecord, np.nd
                     f"{phn}: segment '{begin} {end} {vowel}' "
                     f"runs past the {len(audio)} samples of {wav_path.name}"
                 )
-        out.extend(
-            (SegmentRecord(utt, speaker_dir, gender, vowel), audio[begin:end])
-            for begin, end, vowel in segments
-        )
-    return out
+        for begin, end, vowel in segments:
+            yield SegmentRecord(utt, speaker_dir, gender, vowel), audio[begin:end]
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +380,10 @@ def build_corpus(
     stats are computed over the unpadded pixels (valid frames, real
     frequency bins) of the training split.  When noise augmentation is
     configured every record gets a noisy twin at the configured SNR.
+
+    The build happens in a temporary directory under `out_dir`; its files
+    replace the corpus there only once it has succeeded, so a failed build
+    (a bad alignment or WAV, say) leaves an existing corpus as it was.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -381,31 +394,68 @@ def build_corpus(
     else:
         raw = _real_corpus_segments(Path(source), VOWELS)
         source_echo = {"kind": "real", "root": str(source)}
-    if not raw:
-        raise ValueError("corpus source produced no vowel segments")
 
+    with tempfile.TemporaryDirectory(prefix=".build-", dir=out_dir) as tmp:
+        work = Path(tmp)
+        manifest = _write_corpus(raw, source_echo, config, rng, work)
+        for name in ("corpus.fstn", "manifest.jsonl", "corpus.json"):
+            os.replace(work / name, out_dir / name)
+        if config.write_wavs:
+            (out_dir / "wavs").mkdir(exist_ok=True)
+            for index in range(len(manifest.entries)):
+                os.replace(wav_path(work, index), wav_path(out_dir, index))
+    return manifest
+
+
+def _write_corpus(
+    raw: Iterator[tuple[SegmentRecord, np.ndarray]],
+    source_echo: dict,
+    config: DatasetConfig,
+    rng: Rng,
+    out_dir: Path,
+) -> Manifest:
+    """Stream `raw` into a corpus under `out_dir`, one segment at a time.
+
+    Pass 1 writes each segment's un-normalized log image at its final
+    offset and keeps only its entry and its log-magnitude sums; the split
+    then fixes the stats, and pass 2 normalizes each record in place.
+    """
     noise_rng = rng.spawn(2)
     split_rng = rng.spawn(3)
+    if config.write_wavs:
+        (out_dir / "wavs").mkdir()
 
-    # attach noisy twins, take each magnitude, drop unusable segments
-    segments: list[tuple[SegmentRecord, np.ndarray, np.ndarray]] = []  # (rec, audio, mag)
-    for rec, audio in raw:
-        if len(audio) < STFT.window_len:
-            continue  # shorter than one analysis window; draws no noise
-        variants = [(rec, audio)]
-        if config.noise_snr_db is not None:
-            twin = replace(rec, noise_snr_db=config.noise_snr_db)
-            variants.append((twin, add_white_noise(audio, noise_rng, config.noise_snr_db)))
-        for vrec, vaudio in variants:
-            mag = segment_to_spectrogram(vaudio)
-            if mag is not None:
-                segments.append((vrec, vaudio, mag))
-
-    if not segments:
+    # pass 1: attach noisy twins, take each magnitude once, drop unusable
+    # segments, and keep of each only its entry and its log-magnitude sums
+    entries: list[ManifestEntry] = []
+    sums: list[tuple[float, float, int]] = []  # per entry: sum, sum of squares, count
+    n_raw = 0
+    with open(out_dir / "corpus.fstn", "wb") as archive:
+        for rec, audio in raw:
+            n_raw += 1
+            if len(audio) < STFT.window_len:
+                continue  # shorter than one analysis window; draws no noise
+            variants = [(rec, audio)]
+            if config.noise_snr_db is not None:
+                twin = replace(rec, noise_snr_db=config.noise_snr_db)
+                variants.append((twin, add_white_noise(audio, noise_rng, config.noise_snr_db)))
+            for vrec, vaudio in variants:
+                mag = segment_to_spectrogram(vaudio)
+                if mag is None:
+                    continue
+                logs = np.log(mag + MAG_FLOOR)
+                sums.append((float(logs.sum()), float((logs**2).sum()), logs.size))
+                entries.append(ManifestEntry(vrec, mag.shape[0], offset=archive.tell()))
+                write_tensor_to(archive, _log_image(logs, config.image_size)[None])
+                if config.write_wavs:
+                    write_wav(wav_path(out_dir, len(entries) - 1), vaudio)
+    if n_raw == 0:
+        raise ValueError("corpus source produced no vowel segments")
+    if not entries:
         raise ValueError("all segments were discarded")
 
     # 90/10 split by utterance
-    utterances = sorted({rec.utterance_id for rec, _, _ in segments})
+    utterances = sorted({e.record.utterance_id for e in entries})
     order = split_rng.permutation(len(utterances))
     n_train = max(1, int(round(config.train_fraction * len(utterances))))
     train_utts = sorted(utterances[i] for i in order[:n_train])
@@ -413,12 +463,11 @@ def build_corpus(
 
     # normalization stats over unpadded pixels of the training split
     total, total_sq, count = 0.0, 0.0, 0
-    for rec, _, mag in segments:
-        if rec.utterance_id in train_set:
-            logs = np.log(mag + MAG_FLOOR)
-            total += float(logs.sum())
-            total_sq += float((logs**2).sum())
-            count += logs.size
+    for e, (s, sq, n) in zip(entries, sums):
+        if e.record.utterance_id in train_set:
+            total += s
+            total_sq += sq
+            count += n
     if count == 0:
         raise ValueError("training split is empty")
     mean = total / count
@@ -433,21 +482,18 @@ def build_corpus(
         "train_fraction": config.train_fraction,
         "seed": rng.seed,
     }
-
-    entries = []
-    if config.write_wavs:
-        (out_dir / "wavs").mkdir(exist_ok=True)
-    with open(out_dir / "corpus.fstn", "wb") as archive:
-        for index, (rec, audio, mag) in enumerate(segments):
-            offset = archive.tell()
-            write_tensor_to(archive, magnitude_to_image(mag, stats, config.image_size))
-            entries.append(ManifestEntry(record=rec, valid_frames=mag.shape[0], offset=offset))
-            if config.write_wavs:
-                write_wav(wav_path(out_dir, index), audio)
-
     manifest = Manifest(
         entries=entries, stats=stats, config=config_echo, train_utterances=train_utts
     )
+
+    # pass 2: normalize each record in place
+    with open(out_dir / "corpus.fstn", "r+b") as archive:
+        for e in entries:
+            archive.seek(e.offset)
+            image = read_tensor_from(archive)
+            archive.seek(e.offset)
+            write_tensor_to(archive, normalize(image, stats))
+
     save_manifest(manifest, out_dir)
     return manifest
 

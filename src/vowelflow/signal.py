@@ -146,21 +146,10 @@ def istft_phase_borrow(mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
 # magnitude normalization
 
 
-def log_normalize(mag: np.ndarray, stats: tuple[float, float]) -> np.ndarray:
-    """(ln(mag + 1e-5) - mean) / std; flows need unbounded continuous inputs."""
-    mag = np.asarray(mag, dtype=np.float64)
-    if np.any(mag < 0):
-        raise ValueError("magnitudes must be nonnegative")
-    mean, std = stats
-    # in place: two large temporaries instead of four, same bits
-    out = np.log(mag + MAG_FLOOR)
-    out -= mean
-    out /= std
-    return out
-
-
 def denormalize(y: np.ndarray, stats: tuple[float, float]) -> np.ndarray:
-    """Inverse of log_normalize; clips tiny negative magnitudes to zero."""
+    """Image units -> magnitude: exp(y * std + mean) - MAG_FLOOR, the inverse
+    of ln(mag + MAG_FLOOR) normalized by `stats`; clips tiny negative
+    magnitudes to zero."""
     mean, std = stats
     mag = np.exp(np.asarray(y, dtype=np.float64) * std + mean) - MAG_FLOOR
     return np.maximum(mag, 0.0)

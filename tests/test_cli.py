@@ -216,6 +216,28 @@ class TestExitCodes:
         assert rc == EXIT_RUNTIME
         assert f"{speaker / 'sx1.wav'}: {message}" in capsys.readouterr().err
 
+    def test_failed_prepare_keeps_the_existing_corpus(self, tmp_path, capsys):
+        # the second utterance's alignment is bad, so the build fails after
+        # it has streamed the first one; the corpus already in out stays
+        speaker = tmp_path / "timit" / "dr1" / "MABC0"
+        speaker.mkdir(parents=True)
+        for utt in ("sx1", "sx2"):
+            write_wav(speaker / f"{utt}.wav", synth_vowel(Rng(1), "aa", 120.0, 0.2))
+            (speaker / f"{utt}.phn").write_text("0 3200 aa\n")
+        out = tmp_path / "out"
+        assert run(out, "synth-data") == EXIT_OK
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        (speaker / "sx2.phn").write_text("0 3200 aa\n5 3 iy\n")
+        rc = main(TINY_FLAGS + ["--out-dir", str(out), "prepare",
+                                "--corpus-root", str(tmp_path / "timit")])
+        assert rc == EXIT_RUNTIME
+        assert f"{speaker / 'sx2.phn'}: line 2" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert not list(out.glob(".build-*"))
+        manifest = load_manifest(out)
+        with dataset.CorpusReader(out, manifest) as reader:
+            assert reader.load().shape == (len(manifest.entries), 1, 16, 16)
+
     def test_prepare_pairs_each_noisy_segment_with_its_clean_sibling(self, tmp_path):
         # one utterance holding two vowel segments under one id
         speaker = tmp_path / "timit" / "dr1" / "MABC0"

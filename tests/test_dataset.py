@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from vowelflow.dataset import (
     image_to_waveform,
     load_manifest,
     magnitude_to_image,
+    normalize,
     padding_value,
     parse_phone_alignment,
     segment_to_spectrogram,
@@ -30,7 +32,6 @@ from vowelflow.signal import (
     MAG_FLOOR,
     denormalize,
     istft_phase_borrow,
-    log_normalize,
     stft,
     synth_vowel,
     write_wav,
@@ -139,6 +140,35 @@ class TestSegmentToSpectrogram:
         np.testing.assert_array_equal(image_of(w, 288), image)
 
 
+class TestNormalize:
+    def test_zero_magnitude_constant(self):
+        image = magnitude_to_image(np.zeros((4, 257)), (2.0, 3.0), 288)
+        np.testing.assert_allclose(image, (math.log(1e-5) - 2.0) / 3.0)
+        assert padding_value((2.0, 3.0)) == (math.log(1e-5) - 2.0) / 3.0
+
+    def test_round_trip(self):
+        rng = Rng(6)
+        mag = np.abs(rng.standard_normal((10, 10)))
+        y = normalize(np.log(mag + MAG_FLOOR), (-1.5, 0.7))
+        np.testing.assert_allclose(denormalize(y, (-1.5, 0.7)), mag, atol=1e-9)
+
+    def test_ln_e_equals_one(self):
+        image = magnitude_to_image(np.array([[math.e - 1e-5]]), (0.0, 1.0), 288)
+        assert image[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="magnitudes must be nonnegative"):
+            magnitude_to_image(np.array([[-0.1]]), (0.0, 1.0), 288)
+
+    def test_pool_comes_before_normalize(self):
+        w = synth_vowel(Rng(5), "ow", 100.0, 0.18)
+        logs = np.log(segment_to_spectrogram(w) + MAG_FLOOR)
+        padded = np.full((288, 288), math.log(MAG_FLOOR))
+        padded[: logs.shape[0], : logs.shape[1]] = logs
+        pooled = padded.reshape(32, 9, 32, 9).mean(axis=(1, 3))
+        np.testing.assert_array_equal(image_of(w, 32), (pooled - STATS[0]) / STATS[1])
+
+
 class TestImageToMagnitude:
     def segment(self):
         return synth_vowel(Rng(7), "ae", 140.0, 0.15)
@@ -158,7 +188,7 @@ class TestImageToMagnitude:
         assert back.shape == (288, 257)
         repeated = np.repeat(np.repeat(pooled, 9, axis=0), 9, axis=1)[:, :257]
         np.testing.assert_array_equal(back, denormalize(repeated, STATS))
-        np.testing.assert_allclose(log_normalize(back, STATS), repeated, atol=1e-9)
+        np.testing.assert_allclose(normalize(np.log(back + MAG_FLOOR), STATS), repeated, atol=1e-9)
 
     @pytest.mark.parametrize("shape", [(32, 16), (30, 30)])
     def test_unmappable_image_rejected(self, shape):
@@ -238,6 +268,35 @@ class TestBuildCorpus:
         cfg = DatasetConfig(image_size=32, noise_snr_db=10.0)
         manifest = build_corpus(spec, cfg, Rng(6), tmp_path)
         assert len(calls) == len(manifest.entries) == 20
+
+    @pytest.mark.parametrize("image_size", [32, 288])
+    def test_records_equal_the_front_end(self, tmp_path, image_size):
+        # the streamed archive holds exactly the image magnitude_to_image
+        # makes of each segment's float64 audio (wavs/ would be int16)
+        spec = SyntheticSpec(n_speakers=1, draws_per_vowel=2)
+        manifest = build_corpus(spec, DatasetConfig(image_size=image_size), Rng(9), tmp_path)
+        segments = list(dataset._synthetic_segments(spec, Rng(9)))
+        assert [rec for rec, _ in segments] == [e.record for e in manifest.entries]
+        with CorpusReader(tmp_path, manifest) as reader:
+            for i, (_, audio) in enumerate(segments):
+                want = magnitude_to_image(segment_to_spectrogram(audio), manifest.stats, image_size)
+                np.testing.assert_array_equal(reader.pixels(i), want)
+
+    def test_memory_stays_flat(self, tmp_path):
+        # one segment's working set, not one per segment: the traced peak
+        # of a corpus 4x larger stays within 1.25x
+        cfg = DatasetConfig(image_size=32, noise_snr_db=10.0)
+        peaks = []
+        for draws in (2, 8):  # 40 and 160 segments with their noisy twins
+            tracemalloc.start()
+            manifest = build_corpus(
+                SyntheticSpec(n_speakers=2, draws_per_vowel=draws), cfg, Rng(4),
+                tmp_path / str(draws),
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert len(manifest.entries) == 20 * draws
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_noisy_twins_iff_configured(self, tmp_path, small_corpus):
         _, clean_manifest = small_corpus

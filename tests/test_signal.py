@@ -10,10 +10,8 @@ from vowelflow.numerics import Rng, ShapeError
 from vowelflow.signal import (
     SAMPLE_RATE,
     add_white_noise,
-    denormalize,
     frame_count,
     istft_phase_borrow,
-    log_normalize,
     read_wav,
     stft,
     synth_vowel,
@@ -157,26 +155,6 @@ class TestIstftPhaseBorrow:
         s = stft(np.ones(800))
         with pytest.raises(ShapeError):
             istft_phase_borrow(np.zeros((3, 3)), s)
-
-
-class TestLogNormalize:
-    def test_zero_magnitude_constant(self):
-        y = log_normalize(np.zeros((4, 4)), (2.0, 3.0))
-        np.testing.assert_allclose(y, (math.log(1e-5) - 2.0) / 3.0)
-
-    def test_round_trip(self):
-        rng = Rng(6)
-        mag = np.abs(rng.standard_normal((10, 10)))
-        y = log_normalize(mag, (-1.5, 0.7))
-        np.testing.assert_allclose(denormalize(y, (-1.5, 0.7)), mag, atol=1e-9)
-
-    def test_ln_e_equals_one(self):
-        y = log_normalize(np.array([math.e - 1e-5]), (0.0, 1.0))
-        assert y[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            log_normalize(np.array([-0.1]), (0.0, 1.0))
 
 
 def band_energy_centroid(w: np.ndarray, lo_hz: float, hi_hz: float) -> float:
