@@ -21,6 +21,8 @@ files under --out-dir, or to standard output for `grad-audit`.
 
 import argparse
 import dataclasses
+import hashlib
+import io
 import json
 import math
 import sys
@@ -51,7 +53,7 @@ from .latent import (
     write_csv,
     write_image_strip,
 )
-from .numerics import Rng, read_tensor, write_tensor
+from .numerics import Rng, read_tensor, read_tensor_from, write_tensor
 from .signal import read_wav, stft, write_wav
 from .train import TrainConfig, build_model, grad_audit, load_checkpoint, train_loop
 
@@ -290,9 +292,69 @@ def _inputs(args: argparse.Namespace, out: Path):
     return manifest, load
 
 
+def _checkpoint_path(args: argparse.Namespace, out: Path) -> Path:
+    return out / "checkpoint.fsck" if args.checkpoint is None else Path(args.checkpoint)
+
+
 def _model(args: argparse.Namespace, out: Path):
-    path = out / "checkpoint.fsck" if args.checkpoint is None else args.checkpoint
-    return load_checkpoint(path).model
+    return load_checkpoint(_checkpoint_path(args, out)).model
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(2**20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _code_inputs(args: argparse.Namespace, out: Path) -> dict[str, Path]:
+    """The files whose bytes fix a corpus row's code, by their `codes.json` key."""
+    corpus = _corpus_dir(args, out)
+    return {
+        "checkpoint": _checkpoint_path(args, out),
+        "corpus.fstn": corpus / "corpus.fstn",
+        "manifest.jsonl": corpus / "manifest.jsonl",
+    }
+
+
+def _stored_codes(args: argparse.Namespace, out: Path, indices: list[int], code_size: int):
+    """Rows `indices` of the `codes.fstn` that `encode` wrote, or None
+    unless its `codes.json` lists them and every hash it records matches."""
+    try:
+        key = json.loads((out / "codes.json").read_text(encoding="utf-8"))
+        encoded, hashes = key["indices"], key["sha256"]
+        row = {index: r for r, index in enumerate(encoded)}
+        rows = [row[i] for i in indices]
+        if any(hashes[name] != _sha256(path) for name, path in _code_inputs(args, out).items()):
+            return None
+        raw = (out / "codes.fstn").read_bytes()
+        if hashes["codes.fstn"] != hashlib.sha256(raw).hexdigest():
+            return None
+        codes = read_tensor_from(io.BytesIO(raw))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if codes.shape != (len(encoded), code_size):
+        return None
+    return codes[rows]
+
+
+def _codes(args: argparse.Namespace, out: Path, model, load, indices: list[int],
+           pixels: np.ndarray | None = None) -> np.ndarray:
+    """Codes of the corpus rows `indices` (whose pixels are `pixels`, when
+    the caller has them): the rows `encode` stored, if they are still
+    valid, else a fresh `encode_batch`.
+
+    Stored rows are used only if re-encoding the first of them gives the
+    same bits, so codes written by other numerics are never reused.
+    """
+    stored = _stored_codes(args, out, indices, model.code_size)
+    if stored is not None:
+        check, _ = encode_batch(model, load(indices[:1]))
+        if check.tobytes() == stored[:1].tobytes():
+            return stored
+    codes, _ = encode_batch(model, load(indices) if pixels is None else pixels)
+    return codes
 
 
 def _write_decoded(out: Path, stem: str, model, images: np.ndarray) -> np.ndarray:
@@ -385,9 +447,12 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 def cmd_encode(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     manifest, load = _inputs(args, out)
     model = _model(args, out)
+    hashes = {name: _sha256(path) for name, path in _code_inputs(args, out).items()}
     indices = _split_indices(manifest, args.split)
     z, lnp = encode_batch(model, load(indices))
     nats = -lnp / model.code_size
+    # an old key must never vouch for the new codes, even after a crash
+    (out / "codes.json").unlink(missing_ok=True)
     write_tensor(out / "codes.fstn", z)
     rows = []
     for j, i in enumerate(indices):
@@ -411,6 +476,9 @@ def cmd_encode(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
         rows,
         comment=_config_comment(cfg),
     )
+    hashes["codes.fstn"] = _sha256(out / "codes.fstn")
+    key = {"indices": indices, "sha256": hashes}
+    (out / "codes.json").write_text(json.dumps(key, sort_keys=True) + "\n", encoding="utf-8")
     _info(
         f"encode: {len(indices)} segments ({args.split} split), "
         f"mean {np.mean(nats):.4f} nats/dim"
@@ -440,7 +508,7 @@ def cmd_interpolate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
     ia = _find_segment(manifest, args.a, noisy=False)
     ib = _find_segment(manifest, args.b, noisy=False)
-    z, _ = encode_batch(model, load([ia, ib]))
+    z = _codes(args, out, model, load, [ia, ib])
     sweep = interpolate(model, z[0], z[1], alphas)
     nats = _write_decoded(out, "interpolation", model, sweep.images)
     rows = [(float(a), nats[k]) for k, a in enumerate(sweep.ts)]
@@ -477,15 +545,13 @@ def cmd_denoise(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
             raise ValueError("no held-out noisy segment; pass --utt")
         target_clean, target_noisy = held_out[0]
 
-    z_clean, _ = encode_batch(model, load([p[0] for p in fit_pairs]))
-    z_noisy, _ = encode_batch(model, load([p[1] for p in fit_pairs]))
-    xi = displacement(z_clean, z_noisy)
+    clean, noisy = [c for c, _ in fit_pairs], [y for _, y in fit_pairs]
+    z = _codes(args, out, model, load, clean + noisy + [target_noisy])
+    xi = displacement(z[: len(clean)], z[len(clean) : -1])
 
-    target_px = load([target_noisy, target_clean])
-    z_target, _ = encode_batch(model, target_px[:1])
-    sweep = denoise(model, z_target[0], xi, betas)
+    sweep = denoise(model, z[-1], xi, betas)
     nats = _write_decoded(out, "denoised", model, sweep.images)
-    mse = np.mean((sweep.images - target_px[1][None]) ** 2, axis=(1, 2, 3))
+    mse = np.mean((sweep.images - load([target_clean])) ** 2, axis=(1, 2, 3))
     rows = [(float(b), nats[k], float(mse[k])) for k, b in enumerate(sweep.ts)]
     write_csv(
         out / "denoise.csv",
@@ -518,19 +584,14 @@ def cmd_lda(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
     idx_a = class_indices(args.class_a)
     idx_b = class_indices(args.class_b)
-    px_a = load(idx_a)
-    px_b = load(idx_b)
-
     if args.space == "code":
-        model = _model(args, out)
-        vec_a, _ = encode_batch(model, px_a)
-        vec_b, _ = encode_batch(model, px_b)
+        vectors = _codes(args, out, _model(args, out), load, idx_a + idx_b)
     else:
-        vec_a = px_a.reshape(px_a.shape[0], -1)
-        vec_b = px_b.reshape(px_b.shape[0], -1)
+        vectors = load(idx_a + idx_b).reshape(len(idx_a) + len(idx_b), -1)
+    vec_a, vec_b = vectors[: len(idx_a)], vectors[len(idx_a) :]
 
     probe = lda_fit(vec_a, vec_b)
-    points = project_scatter(probe, np.concatenate([vec_a, vec_b]))
+    points = project_scatter(probe, vectors)
     labels = [args.class_a] * len(idx_a) + [args.class_b] * len(idx_b)
     rows = [(points[i, 0], points[i, 1], labels[i]) for i in range(len(labels))]
     write_csv(
@@ -565,8 +626,9 @@ def cmd_lda(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 def cmd_gauss_report(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     manifest, load = _inputs(args, out)
     model = _model(args, out)
-    pixels = load(_split_indices(manifest, args.split))
-    codes, _ = encode_batch(model, pixels)
+    indices = _split_indices(manifest, args.split)
+    pixels = load(indices)
+    codes = _codes(args, out, model, load, indices, pixels)
     flat_px = pixels.reshape(pixels.shape[0], -1)
     rng = Rng(cfg.seed)
 

@@ -245,9 +245,14 @@ def padding_value(stats: tuple[float, float]) -> float:
     return normalize(math.log(MAG_FLOOR), stats)
 
 
-def _log_image(logs: np.ndarray, image_size: int) -> np.ndarray:
-    """(T, bins) log magnitude -> (S, S) padded, pooled, un-normalized image."""
-    image = np.full((FULL_FRAMES, FULL_FRAMES), math.log(MAG_FLOOR))
+def _log_image(logs: np.ndarray, image_size: int, padded: np.ndarray | None = None) -> np.ndarray:
+    """(T, bins) log magnitude -> (S, S) padded, pooled, un-normalized image.
+
+    `padded`, a (FULL_FRAMES, FULL_FRAMES) buffer, is overwritten and, at
+    S = FULL_FRAMES, returned.
+    """
+    image = np.empty((FULL_FRAMES, FULL_FRAMES)) if padded is None else padded
+    image.fill(math.log(MAG_FLOOR))
     image[: logs.shape[0], : logs.shape[1]] = logs
     if image_size == FULL_FRAMES:
         return image
@@ -430,6 +435,9 @@ def _write_corpus(
     entries: list[ManifestEntry] = []
     sums: list[tuple[float, float, int]] = []  # per entry: sum, sum of squares, count
     n_raw = 0
+    # one buffer for every segment: a fresh 0.63 MiB image each time makes
+    # the allocator return and re-fault its pages
+    padded = np.empty((FULL_FRAMES, FULL_FRAMES))
     with open(out_dir / "corpus.fstn", "wb") as archive:
         for rec, audio in raw:
             n_raw += 1
@@ -443,10 +451,11 @@ def _write_corpus(
                 mag = segment_to_spectrogram(vaudio)
                 if mag is None:
                     continue
-                logs = np.log(mag + MAG_FLOOR)
-                sums.append((float(logs.sum()), float((logs**2).sum()), logs.size))
+                logs = np.log(np.add(mag, MAG_FLOOR, out=mag), out=mag)
                 entries.append(ManifestEntry(vrec, mag.shape[0], offset=archive.tell()))
-                write_tensor_to(archive, _log_image(logs, config.image_size)[None])
+                write_tensor_to(archive, _log_image(logs, config.image_size, padded)[None])
+                total = float(logs.sum())
+                sums.append((total, float(np.square(logs, out=logs).sum()), logs.size))
                 if config.write_wavs:
                     write_wav(wav_path(out_dir, len(entries) - 1), vaudio)
     if n_raw == 0:

@@ -22,8 +22,11 @@ from .numerics import Rng, ShapeError
 DEFAULT_INTERP_ALPHAS = tuple(np.linspace(0.1, 0.9, 9))
 DEFAULT_DENOISE_BETAS = tuple(np.linspace(0.0, 0.8, 9))
 LDA_SHRINKAGE = 1e-3
-# Working-set budget of one encode/decode chunk: small enough that a
-# conv's patch matrix stays in cache for its GEMM.
+# Patch-matrix budget of one encode/decode chunk (`chunk_rows`).  It
+# balances per-call overhead against memory traffic; it does not keep the
+# matrix in cache: 14 desk rows make an 8.26 MB level-0 matrix, over a 4 MiB
+# L2.  Desk encodes on a 2-core box ran at 614 images/s with 2 MiB chunks,
+# 787 at 4 MiB, 768-925 at 8 MiB and 577 at 64 MiB.
 CHUNK_BYTES = 8 * 2**20
 
 

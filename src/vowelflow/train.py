@@ -11,7 +11,8 @@ bit.
 
 Checkpoint files start with the magic "FSCK", a u32 format version and
 a length-prefixed JSON header, followed by one tensor record per
-parameter and per Adam moment.
+parameter and per Adam moment.  Version 2 ends with a u32 CRC-32 of
+every byte before it; version 1 files, which have none, still load.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import os
 import struct
 import time
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +32,7 @@ from .flow import GRAD_DTYPE, AffineCoupling, FlowConfig, FlowModel, NonFiniteEr
 from .numerics import Rng, read_exact, read_tensor_from, write_tensor_to
 
 CHECKPOINT_MAGIC = b"FSCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2 added the CRC-32 trailer; 1 still loads
 METRICS_HEADER = "step,nats_per_dim,bits_per_dim,grad_norm,wall_ms"
 # training aborts after DIVERGENCE_PATIENCE consecutive losses above
 # DIVERGENCE_FACTOR times the first
@@ -184,7 +186,7 @@ def save_checkpoint(
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "wb") as fh:
+    with open(tmp, "w+b") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))
@@ -195,7 +197,17 @@ def save_checkpoint(
             write_tensor_to(fh, adam.m[name])
         for name in names:
             write_tensor_to(fh, adam.v[name])
+        fh.write(struct.pack("<I", _crc32(fh, fh.tell())))
     os.replace(tmp, path)
+
+
+def _crc32(fh, end: int) -> int:
+    """CRC-32 of the file's bytes [0, end); leaves the position at `end`."""
+    fh.seek(0)
+    crc = 0
+    while (left := end - fh.tell()) > 0:
+        crc = zlib.crc32(read_exact(fh, min(left, 2**20), "checkpoint"), crc)
+    return crc
 
 
 @dataclass
@@ -209,7 +221,8 @@ class LoadedCheckpoint:
 
 
 def load_checkpoint(path: str | os.PathLike) -> LoadedCheckpoint:
-    """Read a checkpoint; a short or malformed file raises CheckpointError."""
+    """Read a checkpoint; a short, corrupt or malformed file raises
+    CheckpointError naming the file."""
     try:
         return _read_checkpoint(path)
     except ValueError as exc:  # short reads, bad JSON, bad tensor records
@@ -221,8 +234,15 @@ def _read_checkpoint(path: str | os.PathLike) -> LoadedCheckpoint:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError("not a checkpoint file")
         (version,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint version"))
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise CheckpointError(f"unsupported version {version}")
+        if version == 2:
+            size = fh.seek(0, os.SEEK_END)
+            fh.seek(max(size - 4, 8))
+            (stored,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint CRC-32"))
+            if _crc32(fh, size - 4) != stored:
+                raise CheckpointError("CRC-32 mismatch: the file is corrupt")
+            fh.seek(8)
         (length,) = struct.unpack("<Q", read_exact(fh, 8, "checkpoint header length"))
         meta = json.loads(read_exact(fh, length, "checkpoint header").decode("utf-8"))
         flow = meta["flow_config"]

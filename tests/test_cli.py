@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, config merging, artifacts."""
 
 import filecmp
+import hashlib
 import json
 import re
+import shutil
 import wave
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vowelflow import cli, dataset, train
+from vowelflow import cli, dataset, flow, train
 from vowelflow.cli import (
     _SCHEMA,
     EXIT_OK,
@@ -24,7 +26,7 @@ from vowelflow.cli import (
 )
 from vowelflow.dataset import load_manifest
 from vowelflow.latent import DEFAULT_DENOISE_BETAS, DEFAULT_INTERP_ALPHAS, encode_batch
-from vowelflow.numerics import Rng, read_tensor
+from vowelflow.numerics import Rng, conv2d, read_tensor
 from vowelflow.signal import read_wav, synth_vowel, write_wav
 from vowelflow.train import load_checkpoint
 
@@ -84,11 +86,20 @@ def run(out_dir, *argv):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """Corpus plus trained checkpoint shared by the artifact tests."""
+    """Corpus plus trained checkpoint shared by the artifact tests.
+
+    Nothing runs `encode` in this directory, so every analysis here
+    encodes its rows afresh."""
     out = tmp_path_factory.mktemp("pipeline")
     assert run(out, "synth-data") == EXIT_OK
     assert run(out, "train") == EXIT_OK
     return out
+
+
+def encode_into(out_dir, pipeline, *argv):
+    """`encode` the pipeline's corpus with its checkpoint, writing to `out_dir`."""
+    return run(out_dir, "encode", "--data", str(pipeline),
+               "--checkpoint", str(pipeline / "checkpoint.fsck"), *argv)
 
 
 def write_8khz_wav(path, n_samples):
@@ -620,21 +631,33 @@ class TestArtifacts:
         assert lines[1] == "step,nats_per_dim,bits_per_dim,grad_norm,wall_ms"
         assert len(lines) == 2 + 12
 
-    def test_encode_artifacts(self, pipeline):
-        assert run(pipeline, "encode", "--split", "all") == EXIT_OK
-        codes = read_tensor(pipeline / "codes.fstn")
+    # The encode tests write to their own directory: codes left in the
+    # pipeline directory would decide which codes later analyses reuse.
+    def test_encode_artifacts(self, pipeline, tmp_path):
+        assert encode_into(tmp_path, pipeline, "--split", "all") == EXIT_OK
+        codes = read_tensor(tmp_path / "codes.fstn")
         assert codes.shape == (60, 256)
-        lines = (pipeline / "codes.csv").read_text().splitlines()
+        lines = (tmp_path / "codes.csv").read_text().splitlines()
         assert lines[0].startswith("# config {")
         assert lines[1].split(",")[:5] == [
             "index", "utterance", "speaker", "gender", "vowel"
         ]
         assert len(lines) == 2 + 60
+        key = json.loads((tmp_path / "codes.json").read_text())
+        assert key["indices"] == list(range(60))
+        assert sorted(key["sha256"]) == [
+            "checkpoint", "codes.fstn", "corpus.fstn", "manifest.jsonl"
+        ]
+        assert key["sha256"]["codes.fstn"] == hashlib.sha256(
+            (tmp_path / "codes.fstn").read_bytes()
+        ).hexdigest()
 
-    def test_encode_eval_split(self, pipeline):
-        assert run(pipeline, "encode", "--split", "eval") == EXIT_OK
-        codes = read_tensor(pipeline / "codes.fstn")
+    def test_encode_eval_split(self, pipeline, tmp_path):
+        assert encode_into(tmp_path, pipeline, "--split", "eval") == EXIT_OK
+        codes = read_tensor(tmp_path / "codes.fstn")
         assert 0 < codes.shape[0] < 60
+        key = json.loads((tmp_path / "codes.json").read_text())
+        assert key["indices"] == load_manifest(pipeline).eval_indices()
 
     def test_sample_artifacts(self, pipeline):
         assert run(pipeline, "sample", "--n", "4") == EXIT_OK
@@ -754,6 +777,165 @@ class TestArtifacts:
         # 2 levels x 1 step x 9 parameter tensors per step
         assert len(names) == 18
         assert "level0.step0.invconv.weight" in names
+
+
+# Each analysis that reads corpus codes, and the files it writes.
+ANALYSES = {
+    "interpolate": (["interpolate", "--a", "spk00_aa_000", "--b", "spk01_ae_001"],
+                    ["interpolation.fstn", "interpolation.pgm", "interpolation.csv"]),
+    "denoise": (["denoise"], ["denoised.fstn", "denoised.pgm", "denoise.csv"]),
+    "gauss-report": (["gauss-report", "--dims", "8"],
+                     ["gaussianity.csv", "gauss_scatter.csv", "gaussianity.json"]),
+    "lda": (["lda", "--class-a", "aa", "--class-b", "iy"], ["lda_scatter.csv", "lda.json"]),
+}
+
+
+def copy_run(pipeline, out_dir):
+    """A run directory with the pipeline's corpus and checkpoint, no codes."""
+    out_dir.mkdir()
+    for name in ("corpus.fstn", "manifest.jsonl", "corpus.json", "checkpoint.fsck"):
+        shutil.copy(pipeline / name, out_dir / name)
+    return out_dir
+
+
+def spy_encoded_rows(monkeypatch) -> list:
+    """Record the row count of every `encode_batch` call the CLI makes."""
+    calls = []
+
+    def spy(model, pixels):
+        calls.append(len(pixels))
+        return encode_batch(model, pixels)
+
+    monkeypatch.setattr(cli, "encode_batch", spy)
+    return calls
+
+
+def outputs(out_dir, command):
+    return {name: (out_dir / name).read_bytes() for name in ANALYSES[command][1]}
+
+
+def analyse(out_dir, command, calls):
+    """Run `command` in `out_dir`; return the rows of each encode it made."""
+    calls.clear()
+    assert run(out_dir, *ANALYSES[command][0]) == EXIT_OK
+    return list(calls)
+
+
+def flip_byte(path, at):
+    raw = bytearray(path.read_bytes())
+    raw[at] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def nudged_conv2d(x, kernel, bias):
+    """conv2d one ulp up: a numerics change that moves every code's last bits."""
+    return np.nextafter(conv2d(x, kernel, bias), np.inf)
+
+
+def running(*argv, fresh_too=True):
+    """A stale case that runs one command in `hit` and, with `fresh_too`, in `fresh`."""
+
+    def apply(hit, fresh, monkeypatch):
+        for out_dir in (hit, fresh) if fresh_too else (hit,):
+            assert run(out_dir, *argv) == EXIT_OK
+
+    return apply
+
+
+# Ways the codes `encode` stored in `hit` stop matching the inputs, each
+# applied after that encode; `fresh` gets the same inputs and no codes.
+STALE = {
+    "retrained checkpoint": running("--train.lr", "2e-3", "train"),
+    "corpus rebuilt with another seed": running("--seed", "6", "synth-data"),
+    "truncated codes.fstn": lambda hit, fresh, mp: (hit / "codes.fstn").write_bytes(
+        (hit / "codes.fstn").read_bytes()[:-100]
+    ),
+    "flipped byte in codes.fstn": lambda hit, fresh, mp: flip_byte(hit / "codes.fstn", 5000),
+    "garbage codes.json": lambda hit, fresh, mp: (hit / "codes.json").write_text("{garbage"),
+    "eval split stored, all asked": running("encode", "--split", "eval", fresh_too=False),
+    "numerics changed": lambda hit, fresh, mp: mp.setattr(flow, "conv2d", nudged_conv2d),
+}
+
+
+class TestCodeReuse:
+    """Analyses reuse the codes `encode` stored while `codes.json` vouches for them."""
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_hit_and_miss_write_the_same_bytes(self, pipeline, tmp_path, monkeypatch, command):
+        hit, fresh = copy_run(pipeline, tmp_path / "hit"), copy_run(pipeline, tmp_path / "fresh")
+        assert run(hit, "encode") == EXIT_OK
+        calls = spy_encoded_rows(monkeypatch)
+        fresh_calls = analyse(fresh, command, calls)
+        parses = []
+
+        def counted(corpus_dir):
+            parses.append(corpus_dir)
+            return load_manifest(corpus_dir)
+
+        hashed = []
+        sha256 = cli._sha256
+
+        def counted_sha256(path):
+            hashed.append(path.name)
+            return sha256(path)
+
+        monkeypatch.setattr(cli, "load_manifest", counted)
+        monkeypatch.setattr(dataset, "load_manifest", counted)
+        monkeypatch.setattr(cli, "_sha256", counted_sha256)
+        hit_calls = analyse(hit, command, calls)
+        assert outputs(hit, command) == outputs(fresh, command)
+        # the hit run encodes one corpus row, the check row; both runs then
+        # score the decoded images alike (interpolate, denoise)
+        assert fresh_calls[0] > 1
+        assert hit_calls == [1] + fresh_calls[1:]
+        assert len(parses) == 1
+        assert sorted(hashed) == ["checkpoint.fsck", "corpus.fstn", "manifest.jsonl"]
+
+    def test_stored_superset_is_a_hit(self, pipeline, tmp_path, monkeypatch):
+        hit, fresh = copy_run(pipeline, tmp_path / "hit"), copy_run(pipeline, tmp_path / "fresh")
+        assert run(hit, "encode", "--split", "all") == EXIT_OK
+        calls = spy_encoded_rows(monkeypatch)
+        rows = {}
+        for name, out_dir in (("hit", hit), ("fresh", fresh)):
+            calls.clear()
+            assert run(out_dir, "gauss-report", "--dims", "8", "--split", "eval") == EXIT_OK
+            rows[name] = list(calls)
+        assert rows == {"hit": [1], "fresh": [6]}
+        assert outputs(hit, "gauss-report") == outputs(fresh, "gauss-report")
+
+    @pytest.mark.parametrize("case", STALE)
+    def test_stale_codes_are_encoded_afresh(self, pipeline, tmp_path, monkeypatch, case):
+        hit, fresh = copy_run(pipeline, tmp_path / "hit"), copy_run(pipeline, tmp_path / "fresh")
+        assert run(hit, "encode") == EXIT_OK
+        STALE[case](hit, fresh, monkeypatch)
+        calls = spy_encoded_rows(monkeypatch)
+        fresh_calls = analyse(fresh, "gauss-report", calls)
+        hit_calls = analyse(hit, "gauss-report", calls)
+        assert fresh_calls == [60]
+        # only a numerics change gets as far as the check row
+        assert hit_calls == ([1] if case == "numerics changed" else []) + fresh_calls
+        assert outputs(hit, "gauss-report") == outputs(fresh, "gauss-report")
+
+    def test_rerun_writes_the_same_key(self, pipeline, tmp_path):
+        out = copy_run(pipeline, tmp_path / "run")
+        assert run(out, "encode") == EXIT_OK
+        first = (out / "codes.json").read_bytes()
+        assert run(out, "encode") == EXIT_OK
+        assert (out / "codes.json").read_bytes() == first
+        assert str(tmp_path).encode() not in first
+
+    def test_failed_encode_leaves_no_key(self, pipeline, tmp_path, monkeypatch, capsys):
+        out = copy_run(pipeline, tmp_path / "run")
+        assert run(out, "encode") == EXIT_OK
+
+        def torn_write(path, arr):
+            path.write_bytes(b"FSTN")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_tensor", torn_write)
+        assert run(out, "encode", "--split", "eval") == EXIT_RUNTIME
+        assert "disk full" in capsys.readouterr().err
+        assert not (out / "codes.json").exists()
 
 
 class TestResume:

@@ -7,7 +7,9 @@ step; checkpoint and resume behavior is validated byte for byte.
 import json
 import math
 import os
+import re
 import struct
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -333,9 +335,35 @@ class TestCheckpoint:
 
     def test_magic_and_version(self, tmp_path):
         path, *_ = self._saved(tmp_path)
-        with open(path, "rb") as fh:
-            assert fh.read(4) == CHECKPOINT_MAGIC
-            assert int.from_bytes(fh.read(4), "little") == 1
+        raw = path.read_bytes()
+        assert raw[:4] == CHECKPOINT_MAGIC
+        assert int.from_bytes(raw[4:8], "little") == 2
+        # the trailer is the CRC-32 of every byte before it
+        assert int.from_bytes(raw[-4:], "little") == zlib.crc32(raw[:-4])
+
+    @pytest.mark.parametrize("where", ["header", "payload", "trailer"])
+    def test_flipped_byte_rejected(self, tmp_path, where):
+        path, *_ = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        (length,) = struct.unpack("<Q", raw[8:16])
+        # a header byte, the last byte of the last Adam moment, a CRC byte
+        at = {"header": 16 + length // 2, "payload": len(raw) - 5, "trailer": len(raw) - 1}[where]
+        raw[at] ^= 0x10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: CRC-32 mismatch"):
+            load_checkpoint(path)
+
+    def test_version_1_file_loads(self, tmp_path):
+        # version 1, written before the CRC-32 trailer: no trailer, no check
+        path, model, adam, _, cfg = self._saved(tmp_path)
+        raw = path.read_bytes()
+        old = tmp_path / "v1.fsck"
+        old.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:-4])
+        loaded = load_checkpoint(old)
+        assert (loaded.step, loaded.train_config) == (42, cfg)
+        for k, v in model.params().items():
+            npt.assert_array_equal(loaded.model.params()[k], v)
+            npt.assert_array_equal(loaded.adam.v[k], adam.v[k])
 
     def test_round_trip_is_bitwise(self, tmp_path):
         path, model, adam, rng, cfg = self._saved(tmp_path)
@@ -385,10 +413,11 @@ class TestCheckpoint:
             meta = json.loads(raw[16 : 16 + length])
             assert not {"stats", "actnorms_initialized"} & set(meta)
             if name == "older":
+                # such files predate the CRC-32 trailer: version 1, no trailer
                 meta.update(stats=[-6.0, 3.0], actnorms_initialized=True)
                 blob = json.dumps(meta, sort_keys=True).encode("utf-8")
                 path.write_bytes(
-                    raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length :]
+                    raw[:4] + struct.pack("<IQ", 1, len(blob)) + blob + raw[16 + length : -4]
                 )
             loaded = load_checkpoint(path)
             assert loaded.step == 4
