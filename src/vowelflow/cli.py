@@ -297,7 +297,7 @@ def _checkpoint_path(args: argparse.Namespace, out: Path) -> Path:
 
 
 def _model(args: argparse.Namespace, out: Path):
-    return load_checkpoint(_checkpoint_path(args, out)).model
+    return load_checkpoint(_checkpoint_path(args, out), adam=False).model
 
 
 def _sha256(path: Path) -> str:
@@ -508,7 +508,8 @@ def cmd_interpolate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
     ia = _find_segment(manifest, args.a, noisy=False)
     ib = _find_segment(manifest, args.b, noisy=False)
-    z = _codes(args, out, model, load, [ia, ib])
+    # two rows encode faster than hashing the files that vouch for stored codes
+    z, _ = encode_batch(model, load([ia, ib]))
     sweep = interpolate(model, z[0], z[1], alphas)
     nats = _write_decoded(out, "interpolation", model, sweep.images)
     rows = [(float(a), nats[k]) for k, a in enumerate(sweep.ts)]
@@ -773,7 +774,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.format_usage().rstrip()}\n{self.prog}: {message}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """--seed, --config, --out-dir and the dotted config flags, built once
+    and shared, as a parent, by the main parser and every subcommand, so
+    they parse before and after the subcommand name."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(
         "--seed", type=int, default=argparse.SUPPRESS,
         help="base seed for every derived stream (default 0)",
@@ -795,19 +800,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                 metavar="V",
                 help=f"override {section}.{key} (default {default})",
             )
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = [_common_flags()]
     parser = _Parser(
         prog="vowelflow",
         description="Normalizing-flow pipeline over vowel spectrograms.",
+        parents=common,
     )
-    _add_common(parser)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     def command(name, func, help_text):
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        _add_common(p)
+        p = sub.add_parser(name, help=help_text, description=help_text, parents=common)
         p.set_defaults(func=func)
         return p
 

@@ -236,7 +236,11 @@ class LdaProbe:
     """Two discriminative directions between a pair of code classes.
 
     direction_1 solves the shrinkage-regularized LDA problem
-    (S_w + lambda I) w = mu_b - mu_a; direction_2 is the leading
+    (S_w + lambda I) w = mu_b - mu_a, with lambda = LDA_SHRINKAGE
+    trace(S_w) / d, in the row space of the pooled within-class
+    residuals: one thin SVD of those n x d rows gives S_w's eigenvectors,
+    so the solve costs O(n d min(n, d)) and no d x d array is formed;
+    it runs at 288x288 (d = 82,944).  direction_2 is the leading
     principal component of the pooled within-class residuals after the
     first direction is projected out.  Both are unit length and
     mutually orthogonal.  fisher_ratio is the between/within scatter
@@ -256,7 +260,11 @@ def _deterministic_sign(v: np.ndarray) -> np.ndarray:
 
 
 def lda_fit(z_a: np.ndarray, z_b: np.ndarray) -> LdaProbe:
-    """Fit the two-direction probe from two (N >= 2, d) code arrays."""
+    """Fit the two-direction probe from two (N >= 2, d) code arrays.
+
+    Two thin SVDs of the pooled (n, d) residuals do the work, one per
+    direction, so time is O(n d min(n, d)) and memory O(n d).
+    """
     z_a = np.asarray(z_a, dtype=np.float64)
     z_b = np.asarray(z_b, dtype=np.float64)
     if z_a.ndim != 2 or z_b.ndim != 2 or z_a.shape[1] != z_b.shape[1]:
@@ -270,18 +278,21 @@ def lda_fit(z_a: np.ndarray, z_b: np.ndarray) -> LdaProbe:
     if not np.any(diff):
         raise DegenerateProbeError("class means are identical")
 
-    ca = z_a - mean_a[None, :]
-    cb = z_b - mean_b[None, :]
-    sw = ca.T @ ca + cb.T @ cb
-    lam = LDA_SHRINKAGE * float(np.trace(sw)) / d
+    pooled = np.concatenate([z_a - mean_a, z_b - mean_b], axis=0)
+    # S_w = pooled^T pooled = V diag(s^2) V^T with V the right singular
+    # vectors, so (S_w + lambda I)^-1 acts as 1 / (s^2 + lambda) on V's span
+    # and as 1 / lambda on its complement; no d x d array is formed
+    _, s, v_t = np.linalg.svd(pooled, full_matrices=False)
+    s2 = s * s
+    lam = LDA_SHRINKAGE * float(s2.sum()) / d
     if lam > 0:
-        w1 = np.linalg.solve(sw + lam * np.eye(d), diff)
+        along = v_t @ diff
+        w1 = v_t.T @ (along / (s2 + lam)) + (diff - v_t.T @ along) / lam
     else:
         # all points sit on their class means; the mean gap is the answer
         w1 = diff.copy()
     w1 /= np.linalg.norm(w1)
 
-    pooled = np.concatenate([ca, cb], axis=0)
     residual = pooled - np.outer(pooled @ w1, w1)
     # the leading right singular vector of the residuals is the top
     # eigenvector of their d x d scatter, without forming it

@@ -227,6 +227,11 @@ def write_tensor_to(fp: BinaryIO, arr: np.ndarray) -> int:
     return len(header) + len(payload)
 
 
+def record_bytes(arr: np.ndarray) -> int:
+    """Size of the FSTN record `write_tensor_to` writes for `arr`."""
+    return len(FSTN_MAGIC) + 8 + 4 * arr.ndim + 8 * arr.size
+
+
 def read_exact(fp: BinaryIO, n: int, what: str) -> bytes:
     """Exactly `n` bytes from the stream; ValueError on a short read."""
     raw = fp.read(n)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import GRAD_DTYPE, AffineCoupling, FlowConfig, FlowModel, NonFiniteError, prior_logprob
-from .numerics import Rng, read_exact, read_tensor_from, write_tensor_to
+from .numerics import Rng, read_exact, read_tensor_from, record_bytes, write_tensor_to
 
 CHECKPOINT_MAGIC = b"FSCK"
 CHECKPOINT_VERSION = 2  # 2 added the CRC-32 trailer; 1 still loads
@@ -213,47 +213,61 @@ def _crc32(fh, end: int) -> int:
 @dataclass
 class LoadedCheckpoint:
     model: FlowModel
-    adam: AdamState
+    adam: AdamState | None  # None when loaded without the optimizer state
     rng_state: dict
     step: int
     train_config: TrainConfig
     initial_loss: float | None
 
 
-def load_checkpoint(path: str | os.PathLike) -> LoadedCheckpoint:
+def load_checkpoint(path: str | os.PathLike, adam: bool = True) -> LoadedCheckpoint:
     """Read a checkpoint; a short, corrupt or malformed file raises
-    CheckpointError naming the file."""
+    CheckpointError naming the file.
+
+    With `adam` false the Adam moments, two thirds of the file, are not
+    parsed and the result's `adam` is None.  The file is checked all the
+    same: by its CRC-32 (version 2) and by its length against the records
+    skipped (version 1).
+    """
     try:
-        return _read_checkpoint(path)
+        return _read_checkpoint(path, adam)
     except ValueError as exc:  # short reads, bad JSON, bad tensor records
         raise CheckpointError(f"{path}: {exc}") from exc
 
 
-def _read_checkpoint(path: str | os.PathLike) -> LoadedCheckpoint:
+def _read_checkpoint(path: str | os.PathLike, with_adam: bool) -> LoadedCheckpoint:
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError("not a checkpoint file")
         (version,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint version"))
         if version not in (1, CHECKPOINT_VERSION):
             raise CheckpointError(f"unsupported version {version}")
+        size = fh.seek(0, os.SEEK_END)
         if version == 2:
-            size = fh.seek(0, os.SEEK_END)
             fh.seek(max(size - 4, 8))
             (stored,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint CRC-32"))
             if _crc32(fh, size - 4) != stored:
                 raise CheckpointError("CRC-32 mismatch: the file is corrupt")
-            fh.seek(8)
+        fh.seek(8)
         (length,) = struct.unpack("<Q", read_exact(fh, 8, "checkpoint header length"))
         meta = json.loads(read_exact(fh, length, "checkpoint header").decode("utf-8"))
         flow = meta["flow_config"]
         model = FlowModel(FlowConfig(**{**flow, "input_shape": tuple(flow["input_shape"])}))
         names = meta["param_names"]
-        model.set_params({name: read_tensor_from(fh) for name in names})
-        adam = AdamState(
-            m={name: read_tensor_from(fh) for name in names},
-            v={name: read_tensor_from(fh) for name in names},
-            t=meta["adam_t"],
-        )
+        params = {name: read_tensor_from(fh) for name in names}
+        model.set_params(params)
+        if with_adam:
+            adam = AdamState(
+                m={name: read_tensor_from(fh) for name in names},
+                v={name: read_tensor_from(fh) for name in names},
+                t=meta["adam_t"],
+            )
+        else:
+            # the two moment sets mirror the parameters, record for record
+            end = fh.tell() + 2 * sum(record_bytes(p) for p in params.values())
+            if size < end:
+                raise ValueError(f"truncated Adam moments: expected {end} bytes, got {size}")
+            adam = None
     return LoadedCheckpoint(
         model=model,
         adam=adam,

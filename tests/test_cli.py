@@ -616,6 +616,59 @@ class TestConfigMerging:
         assert doc["flow"]["levels"] == 3
 
 
+# sha256 prefix of `--help` at 80 columns (Python 3.11's argparse) for the
+# main parser (None) and each subcommand, as printed when every parser
+# added the shared flags itself; sharing them must not change a byte.  A
+# deliberate change to a flag or its help text updates this table.
+HELP_SHA256 = {
+    None: "860771976939bc41",
+    "synth-data": "6abbfc1e13e4845c",
+    "prepare": "75cc564a312a07ff",
+    "train": "b271775df49e1040",
+    "encode": "bf3e816b24bff73f",
+    "sample": "115c75264a05101f",
+    "interpolate": "0bfb4cfce6d3960f",
+    "denoise": "3a0c523d74c4ec9c",
+    "lda": "6866e048d1f77699",
+    "gauss-report": "1dd87509e4927ba3",
+    "reconstruct": "26ea465d3d7943f9",
+    "grad-audit": "ce1eeae4a0a90150",
+}
+
+
+class TestSharedFlags:
+    """--seed, --config, --out-dir and the dotted flags, shared by every parser."""
+
+    @pytest.mark.parametrize("command", HELP_SHA256)
+    def test_help_is_byte_identical(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(([command] if command else []) + ["--help"]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == HELP_SHA256[command], text
+
+    def test_every_command_is_pinned(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert set(sub.choices) == set(HELP_SHA256) - {None}
+
+    @pytest.mark.parametrize("command", [c for c in HELP_SHA256 if c])
+    def test_flags_parse_before_and_after_the_command(self, command):
+        required = {
+            "prepare": ["--corpus-root", "r"],
+            "interpolate": ["--a", "x", "--b", "y"],
+            "lda": ["--class-a", "aa", "--class-b", "iy"],
+            "reconstruct": ["--utt", "u"],
+        }.get(command, [])
+        before = build_parser().parse_args(
+            ["--seed", "3", "--out-dir", "o", "--train.lr", "0.5", command, *required]
+        )
+        after = build_parser().parse_args(
+            [command, *required, "--seed", "3", "--out-dir", "o", "--train.lr", "0.5"]
+        )
+        for args in (before, after):
+            cfg = load_run_config(args)
+            assert (cfg.seed, args.out_dir, cfg["train"]["lr"]) == (3, "o", 0.5)
+
+
 class TestArtifacts:
     def test_corpus_files(self, pipeline):
         assert (pipeline / "corpus.json").exists()
@@ -779,7 +832,8 @@ class TestArtifacts:
         assert "level0.step0.invconv.weight" in names
 
 
-# Each analysis that reads corpus codes, and the files it writes.
+# Each analysis that reads corpus codes, and the files it writes; all but
+# `interpolate` reuse the codes `encode` stored.
 ANALYSES = {
     "interpolate": (["interpolate", "--a", "spk00_aa_000", "--b", "spk01_ae_001"],
                     ["interpolation.fstn", "interpolation.pgm", "interpolation.csv"]),
@@ -860,7 +914,7 @@ STALE = {
 class TestCodeReuse:
     """Analyses reuse the codes `encode` stored while `codes.json` vouches for them."""
 
-    @pytest.mark.parametrize("command", ANALYSES)
+    @pytest.mark.parametrize("command", [c for c in ANALYSES if c != "interpolate"])
     def test_hit_and_miss_write_the_same_bytes(self, pipeline, tmp_path, monkeypatch, command):
         hit, fresh = copy_run(pipeline, tmp_path / "hit"), copy_run(pipeline, tmp_path / "fresh")
         assert run(hit, "encode") == EXIT_OK
@@ -890,6 +944,27 @@ class TestCodeReuse:
         assert hit_calls == [1] + fresh_calls[1:]
         assert len(parses) == 1
         assert sorted(hashed) == ["checkpoint.fsck", "corpus.fstn", "manifest.jsonl"]
+
+    def test_interpolate_encodes_afresh(self, pipeline, tmp_path, monkeypatch):
+        # its two rows encode faster than the files vouching for them hash
+        coded, fresh = copy_run(pipeline, tmp_path / "coded"), copy_run(pipeline, tmp_path / "fresh")
+        assert run(coded, "encode") == EXIT_OK
+        calls = spy_encoded_rows(monkeypatch)
+        fresh_calls = analyse(fresh, "interpolate", calls)
+        hashed = []
+        sha256 = cli.hashlib.sha256
+
+        def counted_sha256(*args):
+            hashed.append(args)
+            return sha256(*args)
+
+        monkeypatch.setattr(cli.hashlib, "sha256", counted_sha256)
+        coded_calls = analyse(coded, "interpolate", calls)
+        assert hashed == []
+        assert coded_calls == fresh_calls
+        # the two corpus rows, then the nine decoded images scored
+        assert fresh_calls == [2, 9]
+        assert outputs(coded, "interpolate") == outputs(fresh, "interpolate")
 
     def test_stored_superset_is_a_hit(self, pipeline, tmp_path, monkeypatch):
         hit, fresh = copy_run(pipeline, tmp_path / "hit"), copy_run(pipeline, tmp_path / "fresh")

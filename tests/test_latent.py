@@ -6,6 +6,7 @@ for two-point and uniform distributions.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -17,6 +18,7 @@ from vowelflow.flow import FlowConfig, FlowModel, prior_logprob
 from vowelflow.latent import (
     DEFAULT_DENOISE_BETAS,
     DEFAULT_INTERP_ALPHAS,
+    LDA_SHRINKAGE,
     DegenerateProbeError,
     chunk_rows,
     decode_batch,
@@ -460,6 +462,77 @@ class TestLdaFit:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             lda_fit(np.zeros((3, 2)), np.zeros((3, 4)))
+
+
+def normal_equations_lda(z_a, z_b):
+    """(direction_1, lambda) from the d x d normal equations
+    (S_w + lambda I) w = mu_b - mu_a, which `lda_fit` solves without S_w."""
+    ca = z_a - z_a.mean(axis=0)
+    cb = z_b - z_b.mean(axis=0)
+    sw = ca.T @ ca + cb.T @ cb
+    d = sw.shape[0]
+    lam = LDA_SHRINKAGE * float(np.trace(sw)) / d
+    diff = z_b.mean(axis=0) - z_a.mean(axis=0)
+    w = np.linalg.solve(sw + lam * np.eye(d), diff) if lam > 0 else diff
+    return w / np.linalg.norm(w), lam
+
+
+def lda_classes(seed, n, d, spread=0.0):
+    """Two (n, d) classes, their columns scaled over 10**(+-spread)."""
+    rng = Rng(seed)
+    scale = np.logspace(-spread, spread, d)
+    return (rng.standard_normal((n, d)) * scale,
+            (rng.standard_normal((n, d)) + 0.5) * scale)
+
+
+class TestLdaRowSpace:
+    """`lda_fit` solves in the row space; the normal equations agree."""
+
+    @pytest.mark.parametrize(
+        "n, d, spread",
+        [(6, 40, 0.0), (6, 40, 2.0), (30, 8, 0.0), (30, 8, 2.0), (8, 16, 0.0)],
+        ids=["n<d", "n<d-scaled", "n>d", "n>d-scaled", "n=d"],
+    )
+    def test_matches_normal_equations(self, n, d, spread):
+        za, zb = lda_classes(50, n, d, spread)
+        probe = lda_fit(za, zb)
+        w, lam = normal_equations_lda(za, zb)
+        npt.assert_allclose(probe.direction_1, w, rtol=1e-9, atol=1e-9 * np.abs(w).max())
+        npt.assert_allclose(probe.shrinkage, lam, rtol=1e-9)
+        npt.assert_allclose(probe.fisher_ratio, fisher_ratio(za, zb, w), rtol=1e-9)
+
+    def test_constant_dims_match_normal_equations(self):
+        # constant columns, as the padding gives codes, leave S_w singular
+        za, zb = lda_classes(51, 6, 40)
+        za[:, ::3] = 1.5
+        zb[:, ::3] = 1.5
+        probe = lda_fit(za, zb)
+        w, lam = normal_equations_lda(za, zb)
+        npt.assert_allclose(probe.direction_1, w, rtol=1e-9, atol=1e-9 * np.abs(w).max())
+        npt.assert_allclose(probe.shrinkage, lam, rtol=1e-9)
+
+    def test_point_mass_matches_normal_equations(self):
+        # no within-class spread: lambda is 0 and both give the mean gap
+        za = np.tile([0.0, 1.0, -2.0], (3, 1))
+        zb = np.tile([2.0, 0.5, -2.0], (4, 1))
+        probe = lda_fit(za, zb)
+        w, lam = normal_equations_lda(za, zb)
+        assert probe.shrinkage == lam == 0.0
+        npt.assert_allclose(probe.direction_1, w, rtol=1e-9)
+
+    def test_no_d_by_d_array_at_large_d(self):
+        d = 20_000
+        za, zb = lda_classes(52, 8, d)
+        tracemalloc.start()
+        try:
+            probe = lda_fit(za, zb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # S_w alone would be d * d * 8 bytes = 3.2 GB
+        assert peak < d * d * 8 / 10
+        assert probe.direction_1.shape == (d,)
+        npt.assert_allclose(probe.direction_1 @ probe.direction_2, 0.0, atol=1e-10)
 
 
 class TestFisherRatio:

@@ -19,7 +19,7 @@ from conftest import make_identity_model, make_random_model, tiny_config
 from vowelflow import train
 from vowelflow.flow import LN_2PI, FlowConfig, FlowModel
 from vowelflow.latent import encode_batch
-from vowelflow.numerics import Rng, ShapeError
+from vowelflow.numerics import Rng, ShapeError, record_bytes
 from vowelflow.train import (
     CHECKPOINT_MAGIC,
     DIVERGENCE_PATIENCE,
@@ -425,6 +425,62 @@ class TestCheckpoint:
             metrics[name] = strip_wall(out / "metrics.csv")
         assert len(metrics["older"]) == 8
         assert metrics["older"] == metrics["current"]
+
+    @staticmethod
+    def _adam_start(raw, model):
+        """Offset of the first Adam record: after the header and the parameters."""
+        (length,) = struct.unpack("<Q", raw[8:16])
+        return 16 + length + sum(record_bytes(p) for p in model.params().values())
+
+    def test_model_only_load_skips_the_moments(self, tmp_path, monkeypatch):
+        path, model, *_ = self._saved(tmp_path)
+        reads = []
+        read = train.read_tensor_from
+
+        def counted(fh):
+            reads.append(fh.tell())
+            return read(fh)
+
+        monkeypatch.setattr(train, "read_tensor_from", counted)
+        loaded = load_checkpoint(path, adam=False)
+        assert loaded.adam is None and loaded.step == 42
+        assert len(reads) == len(model.params())
+        for k, v in model.params().items():
+            npt.assert_array_equal(loaded.model.params()[k], v)
+
+    def test_model_only_load_rejects_a_flipped_adam_byte(self, tmp_path):
+        path, model, *_ = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        start = self._adam_start(raw, model)
+        raw[(start + len(raw)) // 2] ^= 0x10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: CRC-32 mismatch"):
+            load_checkpoint(path, adam=False)
+
+    @pytest.mark.parametrize("adam", [True, False])
+    def test_version_1_truncated_in_the_moments_rejected(self, tmp_path, adam):
+        path, model, *_ = self._saved(tmp_path)
+        raw = path.read_bytes()
+        v1 = raw[:4] + struct.pack("<I", 1) + raw[8:-4]
+        start = self._adam_start(v1, model)
+        cut = tmp_path / "v1.fsck"
+        for n in range(start, len(v1), 97):
+            cut.unlink(missing_ok=True)
+            cut.write_bytes(v1[:n])
+            with pytest.raises(CheckpointError, match=rf"^{re.escape(str(cut))}: "):
+                load_checkpoint(cut, adam=adam)
+        cut.write_bytes(v1)
+        assert load_checkpoint(cut, adam=adam).step == 42
+
+    def test_every_truncation_rejected_model_only(self, tmp_path):
+        path, *_ = self._saved(tmp_path)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.fsck"
+        for n in range(len(raw)):
+            cut.unlink(missing_ok=True)
+            cut.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(cut, adam=False)
 
     def test_every_truncation_rejected(self, tmp_path):
         path, *_ = self._saved(tmp_path)
