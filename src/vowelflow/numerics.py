@@ -6,7 +6,10 @@ Conventions used throughout the package:
   convolutions alone also run in float32, for the flow's coupling-net
   gradients, and take all operands in one dtype;
 * convolution means cross-correlation (no kernel flip) with "same"
-  zero padding and odd kernel extents;
+  zero padding and odd kernel extents; a conv holds kh*kw copies of its
+  narrower side only (the input's patch matrix when O >= C, the output's
+  per-tap products when O < C; see `conv2d`), so a conv with few outputs,
+  such as a coupling net's last one, never copies its wide input;
 * every public operation returns finite values unless its contract
   says otherwise.
 """
@@ -165,16 +168,48 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Cross-correlation with "same" zero padding plus per-channel bias.
 
     (B, C, H, W) input -> (B, O, H, W) output, in the operands' dtype.
+
+    The kernel's shape picks which side is gathered: the narrower one.
+    With O >= C the kernel multiplies the input's (C*kh*kw)-row patch
+    matrix.  With O < C each tap's O x C kernel slice multiplies the
+    unpadded input, one (kh*kw*O)-row product per image, and each tap's
+    product is added into the output shifted by the tap's offset: the
+    adjoint of `_im2col`, done on the O-channel side.  Every output is the
+    same sum of kernel-times-input products either way, only added in
+    another order, so the two sides agree to rounding (about 1e-15
+    relative in float64).
     """
     _check_operands(x, kernel, bias)
     if bias.shape != (kernel.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} does not match {kernel.shape[0]} outputs")
     o, c, kh, kw = kernel.shape
     bsz, _, h, w = x.shape
-    cols = _im2col(x, kh, kw)
-    y = (kernel.reshape(o, c * kh * kw) @ cols).reshape(bsz, o, h, w)
-    y += bias[:, None, None]
-    return y
+    if o >= c:
+        cols = _im2col(x, kh, kw)
+        y = (kernel.reshape(o, c * kh * kw) @ cols).reshape(bsz, o, h, w)
+        y += bias[:, None, None]
+        return y
+    ph, pw, hw = kh // 2, kw // 2, h * w
+    taps = kernel.transpose(2, 3, 0, 1).reshape(kh * kw * o, c) @ x.reshape(bsz, c, hw)
+    taps = taps.reshape(bsz, kh, kw, o, hw)
+    # Output pixel (i, j) adds tap (dy, dx)'s product at (i + dy - ph,
+    # j + dx - pw), `shift` places on along the flat pixel axis.  A column
+    # offset that leaves the row would wrap into the next or previous row
+    # there, so the columns only such reads reach are zeroed first, as the
+    # padding is.
+    grid = taps.reshape(bsz, kh, kw, o, h, w)
+    for dx in range(kw):
+        grid[:, :, dx, :, :, : max(dx - pw, 0)] = 0
+        grid[:, :, dx, :, :, max(w + min(dx - pw, 0), 0) :] = 0
+    y = taps[:, ph, pw] + bias[:, None]
+    for dy in range(kh):
+        for dx in range(kw):
+            shift = (dy - ph) * w + dx - pw
+            n = hw - abs(shift)
+            if (dy, dx) != (ph, pw) and n > 0:
+                at, src = max(-shift, 0), max(shift, 0)
+                y[:, :, at : at + n] += taps[:, dy, dx, :, src : src + n]
+    return y.reshape(bsz, o, h, w)
 
 
 def conv2d_backward(
@@ -185,7 +220,11 @@ def conv2d_backward(
     """Exact gradients of conv2d w.r.t. input, kernel and bias.
 
     `grad_out` is the cotangent of the output; shapes must match the
-    corresponding forward call.
+    corresponding forward call.  The kernel gradient gathers the narrower
+    side by conv2d's rule: the input's patch matrix when O >= C, else
+    grad_out's at mirrored taps, which pairs the same pixels.  The input
+    gradient is a conv from O to C channels, so it follows the rule by
+    itself: every gather of the three is on the min(O, C)-channel side.
     """
     _check_operands(x, kernel, grad_out)
     o, c, kh, kw = kernel.shape
@@ -198,11 +237,20 @@ def conv2d_backward(
 
     grad_bias = grad_out.sum(axis=(0, 2, 3))
 
-    cols = _im2col(x, kh, kw)  # (B, C*kh*kw, H*W)
-    gmat = grad_out.reshape(bsz, o, h * w)
-    # batched GEMM then a sum over the batch: einsum does not hand this
+    # batched GEMMs then a sum over the batch: einsum does not hand this
     # contraction to BLAS
-    grad_kernel = (gmat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
+    if o >= c:
+        cols = _im2col(x, kh, kw)  # (B, C*kh*kw, H*W)
+        gmat = grad_out.reshape(bsz, o, h * w)
+        grad_kernel = (gmat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
+    else:
+        # kernel tap (dy, dx) pairs input pixel p with grad_out at
+        # p - (dy, dx) + pad, which is grad_out's patch row at the mirrored
+        # tap (kh-1-dy, kw-1-dx)
+        cols = _im2col(grad_out, kh, kw)  # (B, O*kh*kw, H*W)
+        xmat = x.reshape(bsz, c, h * w)
+        gk = (cols @ xmat.transpose(0, 2, 1)).sum(axis=0).reshape(o, kh, kw, c)
+        grad_kernel = np.ascontiguousarray(gk[:, ::-1, ::-1].transpose(0, 3, 1, 2))
 
     # For stride-1 "same" correlation with odd kernels the input gradient
     # is itself a "same" correlation with the channel-swapped, spatially

@@ -6,9 +6,16 @@ from vowelflow.flow import FlowConfig, FlowModel
 from vowelflow.numerics import Rng
 
 
-def tiny_config():
+# A coupling net wider than its 4 channels makes its last conv O < C, the
+# conv that gathers its output side; width 4 keeps every forward conv O >= C.
+WIDE_COUPLING = 8
+
+
+def tiny_config(coupling_width=4):
     """Smallest usable flow: 1x4x4 input, one level, one step."""
-    return FlowConfig(levels=1, depth=1, coupling_width=4, input_shape=(1, 4, 4))
+    return FlowConfig(
+        levels=1, depth=1, coupling_width=coupling_width, input_shape=(1, 4, 4)
+    )
 
 
 def make_identity_model(config=None):

@@ -13,7 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import make_identity_model, make_random_model, tiny_config
+from conftest import WIDE_COUPLING, make_identity_model, make_random_model, tiny_config
 from vowelflow.flow import (
     LN_2PI,
     ActNorm,
@@ -457,19 +457,20 @@ class TestModelForwardInverse:
 
 class TestModelBackward:
     def test_likelihood_gradients_match_fd(self):
-        model = make_random_model(
-            tiny_config(), seed=34, perturb_coupling=0.3, grad_dtype=np.float64
-        )
-        x = Rng(35).standard_normal((2, 1, 4, 4))
+        for width in (4, WIDE_COUPLING):
+            model = make_random_model(
+                tiny_config(width), seed=34, perturb_coupling=0.3, grad_dtype=np.float64
+            )
+            x = Rng(35).standard_normal((2, 1, 4, 4))
 
-        def loss():
-            z, logdet, _ = model.forward(x)
-            return float(np.sum(prior_logprob(z) + logdet))
+            def loss():
+                z, logdet, _ = model.forward(x)
+                return float(np.sum(prior_logprob(z) + logdet))
 
-        z, logdet, cache = model.forward(x, want_cache=True)
-        grads = model.backward(cache, -z, np.ones(x.shape[0]))
-        assert set(grads) == set(model.params())
-        check_grads_fd(loss, model.params(), grads, tol=2e-6)
+            z, logdet, cache = model.forward(x, want_cache=True)
+            grads = model.backward(cache, -z, np.ones(x.shape[0]))
+            assert set(grads) == set(model.params())
+            check_grads_fd(loss, model.params(), grads, tol=2e-6)
 
     def test_param_and_grad_order_pinned(self):
         # checkpoints list parameters in params() order, and global_norm sums

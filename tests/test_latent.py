@@ -12,7 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import make_identity_model, make_random_model, tiny_config
+from conftest import WIDE_COUPLING, make_identity_model, make_random_model, tiny_config
 from vowelflow import latent
 from vowelflow.flow import FlowConfig, FlowModel, prior_logprob
 from vowelflow.latent import (
@@ -49,11 +49,12 @@ LDA_B = np.array([[4.0, 0.0], [4.0, 2.0]])
 
 class TestEncodeDecode:
     def test_round_trip_batch(self):
-        model = make_random_model(tiny_config(), seed=0, perturb_coupling=0.3)
-        x = Rng(1).standard_normal((4, 1, 4, 4))
-        z, lnp = encode_batch(model, x)
-        assert z.shape == (4, 16) and lnp.shape == (4,)
-        npt.assert_allclose(decode_batch(model, z), x, atol=1e-10)
+        for width in (4, WIDE_COUPLING):
+            model = make_random_model(tiny_config(width), seed=0, perturb_coupling=0.3)
+            x = Rng(1).standard_normal((4, 1, 4, 4))
+            z, lnp = encode_batch(model, x)
+            assert z.shape == (4, 16) and lnp.shape == (4,)
+            npt.assert_allclose(decode_batch(model, z), x, atol=1e-10)
 
     def test_decode_single_code(self):
         model = make_identity_model(tiny_config())
@@ -76,6 +77,10 @@ class TestEncodeDecode:
 # two levels, so codes have several parts; CHUNK_BYTES is cut to give K rows
 CHUNK_CONFIG = FlowConfig(levels=2, depth=1, coupling_width=4, input_shape=(1, 8, 8))
 K = 4
+# level 0's last coupling conv is 8 -> 4 here; the same budget gives K // 2 rows
+WIDE_CHUNK_CONFIG = FlowConfig(
+    levels=2, depth=1, coupling_width=WIDE_COUPLING, input_shape=(1, 8, 8)
+)
 
 
 class TestChunking:
@@ -92,13 +97,16 @@ class TestChunking:
 
     @pytest.mark.parametrize("n", [1, K - 1, K, K + 1, 2 * K + 3])
     def test_equal_to_one_call(self, model, n):
+        assert chunk_rows(WIDE_CHUNK_CONFIG) == K // 2
+        wide = make_random_model(WIDE_CHUNK_CONFIG, seed=3, perturb_coupling=0.3)
         x = Rng(n).standard_normal((n, *CHUNK_CONFIG.input_shape))
-        z_ref, logdet, _ = model.forward(x)
-        z, lnp = encode_batch(model, x)
-        npt.assert_array_equal(z, z_ref)
-        npt.assert_array_equal(lnp, prior_logprob(z_ref) + logdet)
         codes = Rng(100 + n).standard_normal((n, model.code_size))
-        npt.assert_array_equal(decode_batch(model, codes), model.inverse(codes))
+        for m in (model, wide):
+            z_ref, logdet, _ = m.forward(x)
+            z, lnp = encode_batch(m, x)
+            npt.assert_array_equal(z, z_ref)
+            npt.assert_array_equal(lnp, prior_logprob(z_ref) + logdet)
+            npt.assert_array_equal(decode_batch(m, codes), m.inverse(codes))
 
     def test_no_call_exceeds_chunk(self, model, monkeypatch):
         rows = []

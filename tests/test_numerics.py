@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,17 @@ class TestInverse:
 # conv2d
 
 
+# (x, kernel) shapes: O > C; O < C, as a coupling net's last conv is when
+# its width exceeds its channels, with a 3x5 kernel, with O = 1, and with a
+# kernel that overhangs the image on every side
+CONV_SHAPES = (
+    ((1, 2, 4, 4), (3, 2, 3, 3)),
+    ((1, 5, 4, 6), (2, 5, 3, 5)),
+    ((1, 3, 5, 4), (1, 3, 3, 3)),
+    ((1, 4, 2, 3), (2, 4, 5, 7)),
+)
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = Rng(21)
@@ -120,19 +132,37 @@ class TestConv2d:
 
     def test_against_direct_oracle(self):
         rng = Rng(22)
-        x = rng.standard_normal((1, 2, 4, 4))
-        k = rng.standard_normal((3, 2, 3, 3))
-        b = rng.standard_normal((3,))
-        np.testing.assert_allclose(conv2d(x, k, b)[0], conv2d_oracle(x[0], k, b), atol=1e-12)
+        for x_shape, k_shape in CONV_SHAPES:
+            x = rng.standard_normal((1, *x_shape[1:]))
+            k = rng.standard_normal(k_shape)
+            b = rng.standard_normal(k_shape[:1])
+            np.testing.assert_allclose(
+                conv2d(x, k, b)[0], conv2d_oracle(x[0], k, b), rtol=0, atol=1e-12
+            )
 
     def test_batched_matches_per_image(self):
         rng = Rng(23)
-        x = rng.standard_normal((4, 2, 5, 5))
-        k = rng.standard_normal((3, 2, 3, 3))
-        b = rng.standard_normal((3,))
-        y = conv2d(x, k, b)
-        for i in range(4):
-            np.testing.assert_allclose(y[i], conv2d(x[i : i + 1], k, b)[0], atol=1e-13)
+        for x_shape, k_shape in CONV_SHAPES:
+            x = rng.standard_normal((4, *x_shape[1:]))
+            k = rng.standard_normal(k_shape)
+            b = rng.standard_normal(k_shape[:1])
+            y = conv2d(x, k, b)
+            for i in range(4):
+                np.testing.assert_allclose(y[i], conv2d(x[i : i + 1], k, b)[0], atol=1e-13)
+
+    def test_channel_slice_input(self):
+        # a coupling net reads x[:, :half], a view with the full batch stride
+        rng = Rng(25)
+        full = rng.standard_normal((3, 10, 5, 6))
+        for o in (1, 3, 5, 8):
+            k = rng.standard_normal((o, 5, 3, 3))
+            b = rng.standard_normal(o)
+            view = full[:, :5]
+            y = conv2d(view, k, b)
+            np.testing.assert_allclose(y, conv2d(view.copy(), k, b), rtol=0, atol=1e-13)
+            w = rng.standard_normal(y.shape)
+            for got, ref in zip(conv2d_backward(w, view, k), conv2d_backward(w, view.copy(), k)):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_linear_in_input(self):
         rng = Rng(24)
@@ -196,38 +226,62 @@ class TestConv2dBackward:
 
     def test_finite_differences(self):
         rng = Rng(33)
-        x = rng.standard_normal((1, 2, 4, 4))
-        k = rng.standard_normal((3, 2, 3, 3))
-        b = rng.standard_normal((3,))
-        # scalar objective: weighted sum of outputs with fixed weights
-        w = rng.standard_normal((1, 3, 4, 4))
-        self.check_finite_differences(x, k, b, w, probes=17)
+        for x_shape, k_shape in CONV_SHAPES:
+            x = rng.standard_normal(x_shape)
+            k = rng.standard_normal(k_shape)
+            b = rng.standard_normal(k_shape[:1])
+            # scalar objective: weighted sum of outputs with fixed weights
+            w = rng.standard_normal((1, k_shape[0], *x_shape[2:]))
+            self.check_finite_differences(x, k, b, w, probes=17)
 
     def test_batched_non_square_kernel(self):
         rng = Rng(34)
-        x = rng.standard_normal((3, 2, 5, 6))
-        k = rng.standard_normal((4, 2, 3, 5))
-        b = rng.standard_normal((4,))
-        w = rng.standard_normal((3, 4, 5, 6))
-        gx, gk, gb = self.check_finite_differences(x, k, b, w, probes=23)
+        # O > C, O < C and O = 1, each with a 3x5 kernel
+        for c, o in ((2, 4), (6, 2), (4, 1)):
+            x = rng.standard_normal((3, c, 5, 6))
+            k = rng.standard_normal((o, c, 3, 5))
+            b = rng.standard_normal((o,))
+            w = rng.standard_normal((3, o, 5, 6))
+            gx, gk, gb = self.check_finite_differences(x, k, b, w, probes=23)
 
-        per_image = [conv2d_backward(w[i : i + 1], x[i : i + 1], k) for i in range(3)]
-        for i, (gx_i, _, _) in enumerate(per_image):
-            np.testing.assert_allclose(gx[i], gx_i[0], rtol=0, atol=1e-13)
-        np.testing.assert_allclose(gk, sum(g for _, g, _ in per_image), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(gb, sum(g for _, _, g in per_image), rtol=0, atol=1e-12)
+            per_image = [conv2d_backward(w[i : i + 1], x[i : i + 1], k) for i in range(3)]
+            for i, (gx_i, _, _) in enumerate(per_image):
+                np.testing.assert_allclose(gx[i], gx_i[0], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(gk, sum(g for _, g, _ in per_image), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gb, sum(g for _, _, g in per_image), rtol=0, atol=1e-12)
 
-        # reference contraction over batch and pixels, kept here as an einsum
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (2, 2)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, (3, 5), axis=(2, 3))
-        np.testing.assert_allclose(gk, np.einsum("bohw,bchwuv->ocuv", w, win), rtol=0, atol=1e-12)
+            # reference contractions over batch and pixels, kept here as einsums
+            xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (2, 2)))
+            win = np.lib.stride_tricks.sliding_window_view(xp, (3, 5), axis=(2, 3))
+            y_ref = np.einsum("ocuv,bchwuv->bohw", k, win) + b[:, None, None]
+            np.testing.assert_allclose(conv2d(x, k, b), y_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                gk, np.einsum("bohw,bchwuv->ocuv", w, win), rtol=0, atol=1e-12
+            )
 
-        # float32 operands: every result stays float32, within 1e-5 relative of float64
-        x32, k32, b32, w32 = (a.astype(np.float32) for a in (x, k, b, w))
-        got = (conv2d(x32, k32, b32), *conv2d_backward(w32, x32, k32))
-        for out32, out64 in zip(got, (conv2d(x, k, b), gx, gk, gb)):
-            assert out32.dtype == np.float32
-            assert np.linalg.norm(out32 - out64) <= 1e-5 * np.linalg.norm(out64)
+            # float32 operands: every result stays float32, within 1e-5 relative of float64
+            x32, k32, b32, w32 = (a.astype(np.float32) for a in (x, k, b, w))
+            got = (conv2d(x32, k32, b32), *conv2d_backward(w32, x32, k32))
+            for out32, out64 in zip(got, (conv2d(x, k, b), gx, gk, gb)):
+                assert out32.dtype == np.float32
+                assert np.linalg.norm(out32 - out64) <= 1e-5 * np.linalg.norm(out64)
+
+    def test_narrow_output_builds_no_input_patch_matrix(self):
+        # 64 -> 2: the input's patch matrix would be 2*64*9*48*48*8 = 21 MB
+        rng = Rng(36)
+        x = rng.standard_normal((2, 64, 48, 48))
+        k = rng.standard_normal((2, 64, 3, 3))
+        b = rng.standard_normal(2)
+        w = rng.standard_normal((2, 2, 48, 48))
+        patch_bytes = x.size * 9 * 8
+        tracemalloc.start()
+        try:
+            conv2d(x, k, b)
+            conv2d_backward(w, x, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < patch_bytes / 2
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):

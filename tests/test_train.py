@@ -15,7 +15,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import make_identity_model, make_random_model, tiny_config
+from conftest import WIDE_COUPLING, make_identity_model, make_random_model, tiny_config
 from vowelflow import train
 from vowelflow.flow import LN_2PI, FlowConfig, FlowModel
 from vowelflow.latent import encode_batch
@@ -109,14 +109,15 @@ class TestNll:
         assert set(grads) == set(model.params())
 
     def test_duplicating_the_batch_keeps_gradients(self):
-        model = make_random_model(
-            tiny_config(), seed=34, perturb_coupling=0.3, grad_dtype=np.float64
-        )
-        x = Rng(35).standard_normal((2, 1, 4, 4))
-        _, g1 = loss_and_grads(model, x)
-        _, g2 = loss_and_grads(model, np.concatenate([x, x], axis=0))
-        for k in g1:
-            npt.assert_allclose(g2[k], g1[k], rtol=1e-12, atol=1e-16)
+        for width in (4, WIDE_COUPLING):
+            model = make_random_model(
+                tiny_config(width), seed=34, perturb_coupling=0.3, grad_dtype=np.float64
+            )
+            x = Rng(35).standard_normal((2, 1, 4, 4))
+            _, g1 = loss_and_grads(model, x)
+            _, g2 = loss_and_grads(model, np.concatenate([x, x], axis=0))
+            for k in g1:
+                npt.assert_allclose(g2[k], g1[k], rtol=1e-12, atol=1e-16)
 
     def test_zero_output_layer_still_gets_gradient(self):
         # fresh init: hidden conv weights random, output layer zero
@@ -677,14 +678,15 @@ class TestTrainLoop:
 
 class TestGradAudit:
     def test_random_model_passes(self):
-        model = make_random_model(
-            tiny_config(), seed=8, perturb_coupling=0.3, grad_dtype=np.float64
-        )
-        batch = Rng(9).standard_normal((3, 1, 4, 4))
-        report = grad_audit(model, batch)
-        assert isinstance(report, GradAuditReport)
-        assert report.passed
-        assert report.max_rel_err < 1e-6
+        for width in (4, WIDE_COUPLING):
+            model = make_random_model(
+                tiny_config(width), seed=8, perturb_coupling=0.3, grad_dtype=np.float64
+            )
+            batch = Rng(9).standard_normal((3, 1, 4, 4))
+            report = grad_audit(model, batch)
+            assert isinstance(report, GradAuditReport)
+            assert report.passed
+            assert report.max_rel_err < 1e-6
 
     def test_covers_every_parameter(self):
         model = make_random_model(
