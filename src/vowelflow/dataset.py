@@ -21,8 +21,9 @@ is a float64 sample array at the one rate (16 kHz) that `read_wav` enforces.
 Records are ordered deterministically; a noisy twin (when noise
 augmentation is configured) immediately follows its clean sibling and
 shares its utterance id and its segment id (`Manifest.segment_ids`).
-`build_corpus` streams: it holds one segment's audio and spectrogram at
-a time, whatever the corpus size.
+`build_corpus` streams: it holds one segment's spectrogram at a time and,
+for a synthetic corpus, one fixed block of audio (`_BLOCK_SEGMENTS`
+segments), whatever the corpus size.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
@@ -41,14 +43,19 @@ from .numerics import Rng, read_tensor_from, write_tensor_to
 from .signal import (
     FORMANTS,
     MAG_FLOOR,
+    SAMPLE_RATE,
     STFT,
     VOWELS,
     add_white_noise,
     denormalize,
+    excitation,
+    formant_filter,
+    formant_resonators,
     istft_phase_borrow,
+    peak_normalize,
     read_wav,
     stft,
-    synth_vowel,
+    synth_vowel,  # noqa: F401  kept in this namespace; the build filters in blocks
     write_wav,
 )
 
@@ -64,6 +71,11 @@ GENDERS = ("M", "F", "unknown")
 _F0_RANGE = {"M": (85.0, 180.0), "F": (160.0, 300.0)}
 _SHIFT_RANGE = {"M": (-0.08, 0.04), "F": (0.10, 0.22)}
 _DURATION_RANGE = (0.15, 0.30)
+
+# The synthetic build filters this many segments at once in one time-major
+# block sized for the longest duration: 4,800 x 256 float64, 9.8 MB.
+_BLOCK_SEGMENTS = 256
+_BLOCK_SAMPLES = round(_DURATION_RANGE[1] * SAMPLE_RATE)
 
 
 class AlignmentParseError(ValueError):
@@ -322,6 +334,9 @@ def segment_to_spectrogram(samples: np.ndarray) -> np.ndarray | None:
 def _synthetic_segments(
     spec: SyntheticSpec, rng: Rng
 ) -> Iterator[tuple[SegmentRecord, np.ndarray]]:
+    """Synthetic segments in order, synthesized _BLOCK_SEGMENTS at a time:
+    each one's f0, duration and excitation are drawn in turn into a column
+    of one fixed block, which `formant_filter` then runs down at once."""
     speaker_rng = rng.spawn(0)
     draw_rng = rng.spawn(1)
     speakers = []
@@ -329,14 +344,32 @@ def _synthetic_segments(
         gender = "M" if i % 2 == 0 else "F"
         shift = speaker_rng.uniform(*_SHIFT_RANGE[gender])
         speakers.append((f"spk{i:02d}", gender, shift))
+    keys = (
+        (spk, gender, shift, vowel, draw)
+        for spk, gender, shift in speakers
+        for vowel in spec.vowels
+        for draw in range(spec.draws_per_vowel)
+    )
 
-    for spk, gender, shift in speakers:
-        for vowel in spec.vowels:
-            for draw in range(spec.draws_per_vowel):
-                f0 = draw_rng.uniform(*_F0_RANGE[gender])
-                duration = draw_rng.uniform(*_DURATION_RANGE)
-                audio = synth_vowel(draw_rng, vowel, f0, duration, shift)
-                yield SegmentRecord(f"{spk}_{vowel}_{draw:03d}", spk, gender, vowel), audio
+    block = np.zeros((_BLOCK_SAMPLES, _BLOCK_SEGMENTS))
+    resonators = np.zeros((_BLOCK_SEGMENTS, 2, 2))
+    while batch := list(islice(keys, _BLOCK_SEGMENTS)):
+        block.fill(0.0)  # rows past a segment's end would hold the last block's output
+        lengths = []
+        for k, (_, gender, shift, vowel, _) in enumerate(batch):
+            f0 = draw_rng.uniform(*_F0_RANGE[gender])
+            duration = draw_rng.uniform(*_DURATION_RANGE)
+            source = excitation(draw_rng, f0, duration)
+            block[: len(source), k] = source
+            lengths.append(len(source))
+            resonators[k] = formant_resonators(vowel, shift)
+        # every column, even unused ones, so that each step's rows are
+        # contiguous: numpy runs a strided (2, K) view about 2x slower
+        formant_filter(block[: max(lengths)], resonators)
+        for k, ((spk, gender, _, vowel, draw), n) in enumerate(zip(batch, lengths)):
+            record = SegmentRecord(f"{spk}_{vowel}_{draw:03d}", spk, gender, vowel)
+            # one strided read of the column, then contiguous passes
+            yield record, peak_normalize(block[:n, k].copy())
 
 
 def _real_corpus_segments(root: Path, vowels) -> Iterator[tuple[SegmentRecord, np.ndarray]]:

@@ -16,7 +16,6 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .numerics import Rng, ShapeError
 
@@ -159,6 +158,72 @@ def denormalize(y: np.ndarray, stats: tuple[float, float]) -> np.ndarray:
 # synthetic vowels
 
 
+def excitation(rng: Rng, f0: float, duration: float) -> np.ndarray:
+    """`duration` seconds of impulse train at `f0` Hz plus a touch of
+    aspiration noise (drawn from `rng`), the source of a synthetic vowel."""
+    if not 70.0 <= f0 <= 350.0:
+        raise ValueError(f"f0 {f0} Hz outside [70, 350]")
+    n = int(round(duration * SAMPLE_RATE))
+    out = np.zeros(n)
+    out[np.arange(0, n, SAMPLE_RATE / f0).astype(int)] = 1.0
+    out += 0.001 * rng.standard_normal((n,))
+    return out
+
+
+def formant_resonators(vowel_label: str, speaker_shift: float = 0.0) -> np.ndarray:
+    """(2, 2) denominators (a1, a2) of the vowel's two formant resonators.
+
+    Resonator i filters by 1 / (1 + a1 z^-1 + a2 z^-2), a two-pole peak at
+    formant i of the built-in table times (1 + speaker_shift).
+    """
+    if vowel_label not in FORMANTS:
+        raise ValueError(f"unknown vowel {vowel_label!r}, expected one of {VOWELS}")
+    out = np.empty((2, 2))
+    for i, (freq, bandwidth) in enumerate(zip(FORMANTS[vowel_label], (80.0, 120.0))):
+        freq = freq * (1.0 + speaker_shift)
+        r = math.exp(-math.pi * bandwidth / SAMPLE_RATE)
+        theta = 2.0 * math.pi * freq / SAMPLE_RATE
+        out[i] = (-2.0 * r * math.cos(theta), r * r)
+    return out
+
+
+def _resonate(y, z0, z1, a1, neg_a2, scratch) -> None:
+    # one direct-form-II-transposed step, in place: y = z0 + x,
+    # z0 = z1 - a1*y, z1 = y*(-a2)
+    y += z0
+    np.multiply(a1, y, out=scratch)
+    np.subtract(z1, scratch, out=z0)
+    np.multiply(y, neg_a2, out=z1)
+
+
+def formant_filter(block: np.ndarray, resonators: np.ndarray) -> None:
+    """Run each column of the time-major `block` (T, K) through its two
+    cascaded resonators, in place; `resonators` is (K, 2, 2), one
+    `formant_resonators` result per column.
+
+    Step t advances the first resonator on row t and the second on row
+    t - 1 (the first's output one step earlier), so a single (2, K) view
+    moves both down every column at once.  The arithmetic is that of a
+    direct-form-II-transposed filter, sample by sample.
+    """
+    rows, k = block.shape
+    if resonators.shape != (k, 2, 2):
+        raise ShapeError(f"resonators {resonators.shape} do not match {k} columns")
+    # row 0 of the state belongs to the second resonator, row 1 to the first;
+    # C order throughout, as a strided operand takes numpy's slow path
+    a1, a2 = np.ascontiguousarray(resonators[:, ::-1].transpose(2, 1, 0))
+    state = (np.zeros((2, k)), np.zeros((2, k)), a1, -a2, np.empty((2, k)))
+    _resonate(block[:1], *(v[1:] for v in state))  # the first row: the first resonator alone
+    for t in range(1, rows):
+        _resonate(block[t - 1:t + 1], *state)
+    _resonate(block[-1:], *(v[:1] for v in state))  # the last row: the second alone
+
+
+def peak_normalize(samples: np.ndarray) -> np.ndarray:
+    """`samples` scaled to a peak magnitude of 0.9."""
+    return 0.9 * samples / np.max(np.abs(samples))
+
+
 def synth_vowel(
     rng: Rng,
     vowel_label: str,
@@ -166,32 +231,15 @@ def synth_vowel(
     duration: float,
     speaker_shift: float = 0.0,
 ) -> np.ndarray:
-    """Source-filter vowel: impulse train through two formant resonators.
+    """Source-filter vowel: `excitation` through the vowel's two formant
+    resonators (`formant_resonators`), peak-normalized to 0.9.
 
-    Both formant frequencies from the built-in table are multiplied by
-    (1 + speaker_shift).  The output is peak-normalized to 0.9.  A touch
-    of aspiration noise (drawn from `rng`) keeps segments distinct.
+    The synthetic corpus build runs the same filter on blocks of segments.
     """
-    if vowel_label not in FORMANTS:
-        raise ValueError(f"unknown vowel {vowel_label!r}, expected one of {VOWELS}")
-    if not 70.0 <= f0 <= 350.0:
-        raise ValueError(f"f0 {f0} Hz outside [70, 350]")
-    n = int(round(duration * SAMPLE_RATE))
-    excitation = np.zeros(n)
-    period = SAMPLE_RATE / f0
-    positions = np.arange(0, n, period)
-    excitation[positions.astype(int)] = 1.0
-    excitation += 0.001 * rng.standard_normal((n,))
-
-    out = excitation
-    for freq, bandwidth in zip(FORMANTS[vowel_label], (80.0, 120.0)):
-        freq = freq * (1.0 + speaker_shift)
-        r = math.exp(-math.pi * bandwidth / SAMPLE_RATE)
-        theta = 2.0 * math.pi * freq / SAMPLE_RATE
-        out = lfilter([1.0], [1.0, -2.0 * r * math.cos(theta), r * r], out)
-
-    peak = np.max(np.abs(out))
-    return 0.9 * out / peak
+    resonators = formant_resonators(vowel_label, speaker_shift)
+    block = excitation(rng, f0, duration)[:, None]
+    formant_filter(block, resonators[None])
+    return peak_normalize(block[:, 0])
 
 
 def add_white_noise(samples: np.ndarray, rng: Rng, snr_db: float) -> np.ndarray:

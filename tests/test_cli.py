@@ -3,8 +3,11 @@
 import filecmp
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import wave
 from pathlib import Path
 
@@ -1077,3 +1080,28 @@ class TestDeterminism:
         sa = read_tensor(dirs[0] / "samples.fstn")
         sb = read_tensor(dirs[1] / "samples.fstn")
         assert not np.allclose(sa, sb)
+
+
+def test_commands_run_numpy_only(tmp_path):
+    # scipy may be installed as a test oracle; the package must never load it
+    flags = [
+        "--out-dir", str(tmp_path), "--data.image_size", "16", "--synth.n_speakers", "2",
+        "--synth.draws_per_vowel", "2", "--flow.levels", "2", "--flow.depth", "1",
+        "--train.steps", "2",
+    ]
+    script = (
+        "import sys\n"
+        "from vowelflow.cli import main\n"
+        "for command in ('synth-data', 'train', 'encode'):\n"
+        f"    assert main({flags!r} + [command]) == 0, command\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

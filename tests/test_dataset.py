@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import lfilter_synth_vowel
 from vowelflow import dataset
 from vowelflow.dataset import (
     AlignmentParseError,
@@ -282,8 +283,28 @@ class TestBuildCorpus:
                 want = magnitude_to_image(segment_to_spectrogram(audio), manifest.stats, image_size)
                 np.testing.assert_array_equal(reader.pixels(i), want)
 
+    def test_audio_across_blocks_equals_lfilter_formula(self):
+        # 2 speakers x 5 vowels x 26 draws = 260 segments: a full block and
+        # a partial one, each segment drawn (f0, duration, excitation) in turn
+        spec = SyntheticSpec(n_speakers=2, draws_per_vowel=26)
+        rng = Rng(11)
+        speaker_rng, draw_rng = rng.spawn(0), rng.spawn(1)
+        want = []
+        for i in range(spec.n_speakers):
+            gender = "M" if i % 2 == 0 else "F"
+            shift = speaker_rng.uniform(*dataset._SHIFT_RANGE[gender])
+            for vowel in spec.vowels:
+                for _ in range(spec.draws_per_vowel):
+                    f0 = draw_rng.uniform(*dataset._F0_RANGE[gender])
+                    duration = draw_rng.uniform(*dataset._DURATION_RANGE)
+                    want.append(lfilter_synth_vowel(draw_rng, vowel, f0, duration, shift))
+        got = [audio for _, audio in dataset._synthetic_segments(spec, Rng(11))]
+        assert len(got) == len(want) == 260 > dataset._BLOCK_SEGMENTS
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
     def test_memory_stays_flat(self, tmp_path):
-        # one segment's working set, not one per segment: the traced peak
+        # one block's working set, not one per segment: the traced peak
         # of a corpus 4x larger stays within 1.25x
         cfg = DatasetConfig(image_size=32, noise_snr_db=10.0)
         peaks = []

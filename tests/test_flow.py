@@ -8,6 +8,7 @@ has an independent oracle.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -453,6 +454,17 @@ class TestModelForwardInverse:
             with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as exc:
                 model.forward(np.ones((1, 1, 4, 4)))
             assert (exc.value.layer_index, exc.value.layer_name) == (index, name)
+
+    def test_nan_invconv_weight_reported_without_warning(self):
+        # ln|det W| of a NaN weight is NaN, not a singular-matrix error: the
+        # layer's output carries it to NonFiniteError, silently until then
+        model = make_identity_model(tiny_config())
+        model.params()["level0.step0.invconv.weight"][0, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as exc:
+                model.forward(np.ones((1, 1, 4, 4)))
+        assert (exc.value.layer_index, exc.value.layer_name) == (1, "level0.step0.invconv")
 
 
 class TestModelBackward:

@@ -80,6 +80,12 @@ class TestLu:
         with pytest.raises(ShapeError):
             lu_decompose(np.zeros((2, 3)))
 
+    def test_only_exact_singularity_raises(self):
+        # a zero pivot is the boundary: a tiny nonzero one still has a logdet
+        with pytest.raises(SingularMatrixError, match="exactly singular"):
+            lu_decompose(np.diag([1.0, 0.0]))
+        assert lu_decompose(np.diag([1.0, 1e-13])) == pytest.approx(-29.93, abs=5e-3)
+
 
 class TestInverse:
     def test_identity(self):

@@ -6,10 +6,14 @@ import wave
 import numpy as np
 import pytest
 
+from conftest import lfilter_synth_vowel, lfilter_twice
 from vowelflow.numerics import Rng, ShapeError
 from vowelflow.signal import (
     SAMPLE_RATE,
+    VOWELS,
     add_white_noise,
+    formant_filter,
+    formant_resonators,
     frame_count,
     istft_phase_borrow,
     read_wav,
@@ -193,6 +197,34 @@ class TestSynthVowel:
     def test_f0_out_of_range(self):
         with pytest.raises(ValueError):
             synth_vowel(Rng(11), "aa", 60.0, 0.2)
+
+    @pytest.mark.parametrize("shift", [-0.08, 0.22])
+    @pytest.mark.parametrize("vowel", VOWELS)
+    def test_equals_lfilter_formula_bit_for_bit(self, vowel, shift):
+        got = synth_vowel(Rng(12), vowel, 150.0, 0.25, shift)
+        np.testing.assert_array_equal(got, lfilter_synth_vowel(Rng(12), vowel, 150.0, 0.25, shift))
+
+
+class TestFormantFilter:
+    @pytest.mark.parametrize("columns", [1, 3, 300])
+    def test_equals_lfilter_twice_bit_for_bit(self, columns):
+        rng = Rng(60)
+        lengths = rng.integers(1, 400, columns)
+        lengths[: min(columns, 3)] = (1, 2, 400)[: min(columns, 3)]
+        block = np.zeros((lengths.max(), columns))
+        resonators = np.empty((columns, 2, 2))
+        for k, n in enumerate(lengths):
+            block[:n, k] = rng.standard_normal(n)
+            resonators[k] = formant_resonators(VOWELS[k % len(VOWELS)], rng.uniform(-0.08, 0.22))
+        inputs = block.copy()
+        formant_filter(block, resonators)
+        for k, n in enumerate(lengths):
+            want = lfilter_twice(inputs[:n, k], resonators[k])
+            np.testing.assert_array_equal(block[:n, k], want)
+
+    def test_resonator_count_checked(self):
+        with pytest.raises(ShapeError):
+            formant_filter(np.zeros((10, 3)), np.zeros((2, 2, 2)))
 
 
 class TestAddWhiteNoise:
