@@ -51,6 +51,7 @@ from .signal import (
     excitation,
     formant_filter,
     formant_resonators,
+    frame_count,
     istft_phase_borrow,
     peak_normalize,
     read_wav,
@@ -323,8 +324,9 @@ def segment_to_spectrogram(samples: np.ndarray) -> np.ndarray | None:
     Returns None (discard) when the segment spans more than FULL_FRAMES
     frames.  `magnitude_to_image` turns the magnitude into the image.
     """
-    mag = np.abs(stft(samples))
-    return mag if mag.shape[0] <= FULL_FRAMES else None
+    if frame_count(len(samples), STFT.window_len, STFT.hop) > FULL_FRAMES:
+        return None  # found before any STFT is computed
+    return np.abs(stft(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +638,16 @@ class CorpusReader:
             raise ValueError(f"{self._archive.name}, entry {index}: {exc}") from exc
 
     def load(self, indices=None) -> np.ndarray:
-        """Stack of (N, 1, S, S) pixel tensors for the given indices."""
+        """Stack of (N, 1, S, S) pixel tensors for the given indices, read
+        into one array: a loaded split is never held twice."""
         if indices is None:
             indices = range(len(self.manifest.entries))
-        return np.stack([self.pixels(i) for i in indices])
+        out = None
+        for k, i in enumerate(indices):
+            image = self.pixels(i)
+            if out is None:
+                out = np.empty((len(indices), *image.shape))
+            out[k] = image
+        if out is None:
+            raise ValueError("no corpus entries to load")
+        return out

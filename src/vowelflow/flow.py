@@ -9,8 +9,9 @@ autodiff framework.
 
 Every layer (`ActNorm`, `InvConv`, `AffineCoupling`) keeps one contract:
 
-* ``forward(x) -> (y, logdet, cache)``, with ``logdet`` per example and
-  ``cache`` whatever ``backward`` needs;
+* ``forward(x, want_cache=True) -> (y, logdet, cache)``, with ``logdet``
+  per example and ``cache`` whatever ``backward`` needs, or None without
+  `want_cache`;
 * ``inverse(y) -> x``;
 * ``backward(cache, grad_y, grad_logdet) -> (grad_x, grads)``, with
   ``grads`` keyed like ``params()``.
@@ -22,7 +23,7 @@ halves split off at each level are concatenated into z; only
 
 Shape convention: tensors are batched, (B, C, H, W), and float64.  Only
 the coupling nets' conv gradients run in float32 inside `backward`, by
-default (`grad_dtype`).
+default (`grad_dtype`), and their cached activations are kept in it.
 """
 
 from __future__ import annotations
@@ -122,12 +123,14 @@ class ActNorm:
         self.log_scale = -np.log(std)
         self.bias = -mean / std
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def forward(
+        self, x: np.ndarray, want_cache: bool = True
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         scale = np.exp(self.log_scale)[:, None, None]
         y = scale * x + self.bias[:, None, None]
         h, w = x.shape[2], x.shape[3]
         logdet = np.full(x.shape[0], h * w * float(self.log_scale.sum()))
-        return y, logdet, x
+        return y, logdet, (x if want_cache else None)
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         return (y - self.bias[:, None, None]) * np.exp(-self.log_scale)[:, None, None]
@@ -161,11 +164,13 @@ class InvConv:
             q, r = np.linalg.qr(a)
             self.weight = q * np.sign(np.diag(r))
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def forward(
+        self, x: np.ndarray, want_cache: bool = True
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         y = np.einsum("oc,bchw->bohw", self.weight, x)
         h, w = x.shape[2], x.shape[3]
         logdet = np.full(x.shape[0], h * w * lu_decompose(self.weight))
-        return y, logdet, x
+        return y, logdet, (x if want_cache else None)
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         return np.einsum("oc,bohw->bchw", mat_inverse(self.weight).T, y)
@@ -194,6 +199,8 @@ class AffineCoupling:
     Forward and inverse run the net in float64.  `backward` runs its three
     conv gradients in `grad_dtype`: float32 halves their cost, and the
     parameter and input gradients it returns are float64 either way.  The
+    cache keeps the net's ReLU outputs, which only those gradients read,
+    in `grad_dtype` too, halving the bulk of a training step's cache.  The
     net must not run in float32 forward: a float32 net is a step function
     of x_a, and in a stack the inverse rebuilds x_a only to float64
     rounding, so an x_a near a float32 rounding boundary can round the
@@ -228,7 +235,9 @@ class AffineCoupling:
         a2 = np.maximum(conv2d(a1, self.w2, self.b2), 0.0)
         return a1, a2, conv2d(a2, self.w3, self.b3)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    def forward(
+        self, x: np.ndarray, want_cache: bool = True
+    ) -> tuple[np.ndarray, np.ndarray, dict | None]:
         xa, xb = x[:, :self.half], x[:, self.half:]
         a1, a2, out = self._net(xa)
         s_raw, t = out[:, :self.half], out[:, self.half:]
@@ -236,6 +245,9 @@ class AffineCoupling:
         scale = np.exp(2.0 * th)
         y = np.concatenate([xa, xb * scale + t], axis=1)
         logdet = (2.0 * th).sum(axis=(1, 2, 3))
+        if not want_cache:
+            return y, logdet, None
+        a1, a2 = (a.astype(self.grad_dtype, copy=False) for a in (a1, a2))
         cache = {"xa": xa, "xb": xb, "a1": a1, "a2": a2, "th": th, "scale": scale}
         return y, logdet, cache
 
@@ -265,9 +277,9 @@ class AffineCoupling:
                         self.w1, self.w2, self.w3)
         )
         grad_a2, gw3, gb3 = conv2d_backward(grad_out, a2, w3)
-        grad_h2 = grad_a2 * (cache["a2"] > 0)
+        grad_h2 = grad_a2 * (a2 > 0)
         grad_a1, gw2, gb2 = conv2d_backward(grad_h2, a1, w2)
-        grad_h1 = grad_a1 * (cache["a1"] > 0)
+        grad_h1 = grad_a1 * (a1 > 0)
         grad_xa_net, gw1, gb1 = conv2d_backward(grad_h1, xa, w1)
 
         grad_x = np.concatenate([grad_ya + grad_xa_net, grad_xb], axis=1)
@@ -314,7 +326,8 @@ class FlowModel:
     1x1 conv -> affine coupling, then split half the channels out to the
     code (the last level emits everything).
 
-    `grad_dtype` is the dtype of the coupling nets' conv gradients (see
+    `grad_dtype` is the dtype of the coupling nets' conv gradients and of
+    the activations a backward cache keeps for them (see
     `AffineCoupling`).  Finite-difference checks need float64, because
     float32 rounding swamps a central difference.
     """
@@ -409,12 +422,11 @@ class FlowModel:
             for name, layer in level:
                 if init_actnorm and isinstance(layer, ActNorm):
                     layer.data_init(h)
-                h, ld, layer_cache = layer.forward(h)
+                h, ld, layer_cache = layer.forward(h, want_cache)
                 if not np.all(np.isfinite(h)):
                     raise NonFiniteError(layer_index, name)
                 logdet += ld
-                if want_cache:
-                    level_cache.append(layer_cache)
+                level_cache.append(layer_cache)
                 layer_index += 1
             if li == len(self.layers) - 1:
                 parts.append(h)

@@ -22,13 +22,14 @@ from .numerics import Rng, ShapeError
 DEFAULT_INTERP_ALPHAS = tuple(np.linspace(0.1, 0.9, 9))
 DEFAULT_DENOISE_BETAS = tuple(np.linspace(0.0, 0.8, 9))
 LDA_SHRINKAGE = 1e-3
-# Patch-matrix budget of one encode/decode chunk (`chunk_rows`).  It
-# balances per-call overhead against memory traffic; it does not keep the
-# matrix in cache: 14 desk rows make an 8.26 MB level-0 matrix, over a 4 MiB
-# L2.  Desk encodes on a 2-core box, medians of 6 runs per size in rotating
-# order, ran at 939 images/s with 4 MiB chunks, 828 at 8 MiB and 992 at
-# 16 MiB, where peak RSS rose from 136 to 151 MiB; each size spread over
-# more than the gaps between them (772-1108 at 8 MiB).
+# Activation budget of one encode/decode chunk (`chunk_rows`).  It balances
+# per-call overhead against memory traffic.  Desk encodes on a 2-core box,
+# medians of 6 runs per size in rotating order, ran at 939 images/s with
+# 4 MiB chunks, 828 at 8 MiB and 992 at 16 MiB, where peak RSS rose from 136
+# to 151 MiB; each size spread over more than the gaps between them
+# (772-1108 at 8 MiB).  Those runs predate tiled convs, when a chunk's
+# widest conv built a whole-chunk patch matrix of this size; a conv's own
+# patch tiles are bounded by `numerics.PATCH_BYTES`.
 CHUNK_BYTES = 8 * 2**20
 
 
@@ -43,10 +44,10 @@ class DegenerateProbeError(ValueError):
 def chunk_rows(config: FlowConfig) -> int:
     """Images per `encode_batch`/`decode_batch` chunk.
 
-    CHUNK_BYTES over the widest per-image conv patch matrix.  Every
-    coupling conv has `coupling_width` channels on one side and gathers
-    its narrower side, so none gathers more than width * 3x3 taps rows;
-    the first level's, at (H/2)(W/2) float64 pixels, are the widest.
+    CHUNK_BYTES over nine float64 width-channel activations of one image
+    at the first level, (H/2)(W/2) pixels: 14 images at the desk config, 1
+    at 288x288.  A conv's patch matrix, which this once measured, is now
+    built in tiles of at most `numerics.PATCH_BYTES` whatever the chunk.
     """
     _, h, w = config.input_shape
     per_image = config.coupling_width * 9 * (h // 2) * (w // 2) * 8

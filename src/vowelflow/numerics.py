@@ -6,10 +6,13 @@ Conventions used throughout the package:
   convolutions alone also run in float32, for the flow's coupling-net
   gradients, and take all operands in one dtype;
 * convolution means cross-correlation (no kernel flip) with "same"
-  zero padding and odd kernel extents; a conv holds kh*kw copies of its
-  narrower side only (the input's patch matrix when O >= C, the output's
+  zero padding and odd kernel extents; a conv copies only its narrower
+  side kh*kw times (the input's patch matrix when O >= C, the output's
   per-tap products when O < C; see `conv2d`), so a conv with few outputs,
-  such as a coupling net's last one, never copies its wide input;
+  such as a coupling net's last one, never copies its wide input; a patch
+  matrix is built a tile of at most PATCH_BYTES at a time, so beyond its
+  operands and results a conv holds one padded copy of its input, one
+  tile and, for the kernel gradient, one kernel per image;
 * every public operation returns finite values unless its contract
   says otherwise.
 """
@@ -23,6 +26,8 @@ import numpy as np
 
 FSTN_MAGIC = b"FSTN"
 FSTN_VERSION = 1
+# Largest patch-matrix tile a conv builds (`_patch_tiles`), in bytes.
+PATCH_BYTES = 2 * 2**20
 
 
 class ShapeError(ValueError):
@@ -142,15 +147,58 @@ def _check_operands(x: np.ndarray, kernel: np.ndarray, other: np.ndarray) -> Non
         raise ShapeError(f"input {x.shape} does not match kernel {kernel.shape}")
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, C*kh*kw, H*W) patch matrix of the "same"-padded input."""
+def _patch_tiles(x: np.ndarray, kh: int, kw: int):
+    """The "same"-padded input's (C*kh*kw)-row patch matrix, a tile at a time.
+
+    Yields (i, j, p0, p1, cols): cols is the (j - i, C*kh*kw, p1 - p0)
+    patch matrix of flat output pixels p0:p1 of images i:j.  A tile is
+    whole images while one image's matrix fits PATCH_BYTES, else a band of
+    output rows of one image (at least one row).  Every tile is written
+    into one buffer, so `cols` is valid only until the next tile.
+    """
     b, c, h, w = x.shape
     # one zero-filled buffer and one slice copy, not np.pad, whose Python
     # overhead is a visible share of a desk-size conv
     xp = np.zeros((b, c, h + kh - 1, w + kw - 1), dtype=x.dtype)
     xp[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x
+    # a view; each tile is one strided copy out of it, which ran 1.3-1.8x
+    # faster than kh*kw slice copies at the desk sizes
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h * w)
+    rows = max(1, PATCH_BYTES // (c * kh * kw * w * x.itemsize))
+    if rows >= h:
+        n = max(1, min(b, rows // h))  # an empty batch has no tiles
+        tiles = [(i, min(i + n, b), 0, h) for i in range(0, b, n)]
+    else:
+        n = 1
+        tiles = [(i, i + 1, r, min(r + rows, h)) for i in range(b) for r in range(0, h, rows)]
+    buf = np.empty(n * c * kh * kw * min(rows, h) * w, dtype=x.dtype)
+    for i, j, r0, r1 in tiles:
+        size = (j - i) * c * kh * kw * (r1 - r0) * w
+        tile = buf[:size].reshape(j - i, c, kh, kw, r1 - r0, w)
+        tile[...] = win[i:j, :, r0:r1].transpose(0, 1, 4, 5, 2, 3)
+        yield i, j, r0 * w, r1 * w, tile.reshape(j - i, c * kh * kw, (r1 - r0) * w)
+
+
+def _patch_products(src: np.ndarray, other: np.ndarray, kh: int, kw: int, patch_left: bool):
+    """Sum over the batch of each image's patch matrix of `src` times its
+    `other` (B, N, H*W), transposed: patch @ other.T when `patch_left`,
+    else other @ patch.T.
+
+    The per-image products go into one (B, ., .) buffer, summed over the
+    batch once.  A row band's product is added to its image's earlier
+    bands, so under bands the sum over pixels is split, moving last bits.
+    """
+    bsz, cs, _, _ = src.shape
+    k, n = cs * kh * kw, other.shape[1]
+    prods = np.empty((bsz, k, n) if patch_left else (bsz, n, k), dtype=src.dtype)
+    for i, j, p0, p1, cols in _patch_tiles(src, kh, kw):
+        part = other[i:j, :, p0:p1]
+        a, b = (cols, part.transpose(0, 2, 1)) if patch_left else (part, cols.transpose(0, 2, 1))
+        if p0 == 0:
+            np.matmul(a, b, out=prods[i:j])
+        else:
+            prods[i:j] += a @ b
+    return prods.sum(axis=0)
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -160,12 +208,15 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
     The kernel's shape picks which side is gathered: the narrower one.
     With O >= C the kernel multiplies the input's (C*kh*kw)-row patch
-    matrix.  With O < C each tap's O x C kernel slice multiplies the
+    matrix, built and multiplied a tile of at most PATCH_BYTES at a time
+    (`_patch_tiles`); each tile's GEMM writes its part of the output, and
+    every output pixel is one dot product over C*kh*kw, whatever the
+    tiling.  With O < C each tap's O x C kernel slice multiplies the
     unpadded input, one (kh*kw*O)-row product per image, and each tap's
     product is added into the output shifted by the tap's offset: the
-    adjoint of `_im2col`, done on the O-channel side.  Every output is the
-    same sum of kernel-times-input products either way, only added in
-    another order, so the two sides agree to rounding (about 1e-15
+    adjoint of the patch gather, done on the O-channel side.  Every output
+    is the same sum of kernel-times-input products either way, only added
+    in another order, so the two sides agree to rounding (about 1e-15
     relative in float64).
     """
     _check_operands(x, kernel, bias)
@@ -173,12 +224,14 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
         raise ShapeError(f"bias shape {bias.shape} does not match {kernel.shape[0]} outputs")
     o, c, kh, kw = kernel.shape
     bsz, _, h, w = x.shape
-    if o >= c:
-        cols = _im2col(x, kh, kw)
-        y = (kernel.reshape(o, c * kh * kw) @ cols).reshape(bsz, o, h, w)
-        y += bias[:, None, None]
-        return y
     ph, pw, hw = kh // 2, kw // 2, h * w
+    if o >= c:
+        kmat = kernel.reshape(o, c * kh * kw)
+        y = np.empty((bsz, o, hw), dtype=x.dtype)
+        for i, j, p0, p1, cols in _patch_tiles(x, kh, kw):
+            np.matmul(kmat, cols, out=y[i:j, :, p0:p1])
+        y += bias[:, None]
+        return y.reshape(bsz, o, h, w)
     taps = kernel.transpose(2, 3, 0, 1).reshape(kh * kw * o, c) @ x.reshape(bsz, c, hw)
     taps = taps.reshape(bsz, kh, kw, o, hw)
     # Output pixel (i, j) adds tap (dy, dx)'s product at (i + dy - ph,
@@ -211,9 +264,10 @@ def conv2d_backward(
     `grad_out` is the cotangent of the output; shapes must match the
     corresponding forward call.  The kernel gradient gathers the narrower
     side by conv2d's rule: the input's patch matrix when O >= C, else
-    grad_out's at mirrored taps, which pairs the same pixels.  The input
-    gradient is a conv from O to C channels, so it follows the rule by
-    itself: every gather of the three is on the min(O, C)-channel side.
+    grad_out's at mirrored taps, which pairs the same pixels, in tiles as
+    `conv2d` does (`_patch_products`).  The input gradient is a conv from
+    O to C channels, so it follows the rule by itself: every gather of the
+    three is on the min(O, C)-channel side.
     """
     _check_operands(x, kernel, grad_out)
     o, c, kh, kw = kernel.shape
@@ -226,19 +280,17 @@ def conv2d_backward(
 
     grad_bias = grad_out.sum(axis=(0, 2, 3))
 
-    # batched GEMMs then a sum over the batch: einsum does not hand this
+    # per-image GEMMs then a sum over the batch: einsum does not hand this
     # contraction to BLAS
     if o >= c:
-        cols = _im2col(x, kh, kw)  # (B, C*kh*kw, H*W)
         gmat = grad_out.reshape(bsz, o, h * w)
-        grad_kernel = (gmat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
+        grad_kernel = _patch_products(x, gmat, kh, kw, patch_left=False).reshape(o, c, kh, kw)
     else:
         # kernel tap (dy, dx) pairs input pixel p with grad_out at
         # p - (dy, dx) + pad, which is grad_out's patch row at the mirrored
         # tap (kh-1-dy, kw-1-dx)
-        cols = _im2col(grad_out, kh, kw)  # (B, O*kh*kw, H*W)
         xmat = x.reshape(bsz, c, h * w)
-        gk = (cols @ xmat.transpose(0, 2, 1)).sum(axis=0).reshape(o, kh, kw, c)
+        gk = _patch_products(grad_out, xmat, kh, kw, patch_left=True).reshape(o, kh, kw, c)
         grad_kernel = np.ascontiguousarray(gk[:, ::-1, ::-1].transpose(0, 3, 1, 2))
 
     # For stride-1 "same" correlation with odd kernels the input gradient
@@ -288,9 +340,11 @@ def read_tensor_from(fp: BinaryIO) -> np.ndarray:
     if rank > 32:
         raise ValueError(f"implausible FSTN rank {rank}")
     shape = struct.unpack(f"<{rank}I", read_exact(fp, 4 * rank, "FSTN shape"))
-    count = int(np.prod(shape)) if rank else 1
-    raw = read_exact(fp, 8 * count, "FSTN payload")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    out = np.empty(shape, dtype="<f8")
+    got = fp.readinto(out)  # straight into the result: no bytes object
+    if got != out.nbytes:
+        raise ValueError(f"truncated FSTN payload: expected {out.nbytes} bytes, got {got}")
+    return out.astype(np.float64, copy=False)
 
 
 def write_tensor(path, arr: np.ndarray) -> None:

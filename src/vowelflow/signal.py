@@ -58,9 +58,8 @@ def frame_count(n_samples: int, window_len: int, hop: int) -> int:
     return (n_samples - window_len) // hop + 1
 
 
-def _hann(n: int) -> np.ndarray:
-    # periodic Hann, the standard analysis window for hopped STFTs
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+# periodic Hann, the standard analysis window for hopped STFTs
+_HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(STFT.window_len) / STFT.window_len)
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +109,13 @@ def write_wav(path, samples: np.ndarray) -> None:
 
 def stft(samples: np.ndarray) -> np.ndarray:
     """Hann-windowed one-sided STFT of audio: (T, 257) complex frames."""
-    frame_count(len(samples), STFT.window_len, STFT.hop)  # rejects input shorter than a window
-    # a strided view of the frames: no index array, no gathered copy
+    t = frame_count(len(samples), STFT.window_len, STFT.hop)  # rejects input shorter than a window
+    # a strided view of the frames, windowed straight into the zero-padded
+    # block the FFT reads: no gathered frames, no padded copy inside rfft
     windows = np.lib.stride_tricks.sliding_window_view(samples, STFT.window_len)[::STFT.hop]
-    frames = windows * _hann(STFT.window_len)[None, :]
-    return np.fft.rfft(frames, n=STFT.fft_size, axis=1)
+    block = np.zeros((t, STFT.fft_size))
+    np.multiply(windows, _HANN, out=block[:, : STFT.window_len])
+    return np.fft.rfft(block, axis=1)
 
 
 def istft_phase_borrow(mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -130,14 +131,13 @@ def istft_phase_borrow(mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
         raise ShapeError(f"magnitude {mag.shape} does not match phase frames {phase.shape}")
     spec = mag * np.exp(1j * np.angle(phase))
     frames = np.fft.irfft(spec, n=STFT.fft_size, axis=1)[:, :STFT.window_len]
-    window = _hann(STFT.window_len)
     out_len = (frames.shape[0] - 1) * STFT.hop + STFT.window_len
     acc = np.zeros(out_len)
     wsum = np.zeros(out_len)
     for i, frame in enumerate(frames):
         lo = i * STFT.hop
-        acc[lo:lo + STFT.window_len] += frame * window
-        wsum[lo:lo + STFT.window_len] += window * window
+        acc[lo:lo + STFT.window_len] += frame * _HANN
+        wsum[lo:lo + STFT.window_len] += _HANN * _HANN
     return acc / np.maximum(wsum, _OLA_FLOOR)
 
 

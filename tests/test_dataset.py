@@ -125,6 +125,16 @@ class TestSegmentToSpectrogram:
         pooled = full.reshape(32, 9, 32, 9).mean(axis=(1, 3))
         np.testing.assert_allclose(desk, pooled, atol=1e-12)
 
+    def test_long_segment_is_discarded_before_any_stft(self, monkeypatch):
+        def no_stft(samples):
+            raise AssertionError("stft computed for a discarded segment")
+
+        monkeypatch.setattr(dataset, "stft", no_stft)
+        n = dataset.STFT.window_len + dataset.FULL_FRAMES * dataset.STFT.hop  # one frame too many
+        assert segment_to_spectrogram(np.zeros(n)) is None
+        with pytest.raises(ValueError, match="shorter than one window"):
+            segment_to_spectrogram(np.zeros(dataset.STFT.window_len - 1))
+
     def test_equals_reference_front_end(self):
         # the front end written out with gathered frames, concatenated zero
         # bands and whole-array normalization: the streamlined code must

@@ -15,6 +15,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import WIDE_COUPLING, make_identity_model, make_random_model, tiny_config
+from vowelflow import flow as flow_module
 from vowelflow.flow import (
     LN_2PI,
     ActNorm,
@@ -517,6 +518,43 @@ class TestModelBackward:
                 y = layer.forward(h)[0]
                 npt.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
                 npt.assert_allclose(y.var(axis=(0, 2, 3)), 1.0, rtol=1e-8)
+
+
+class TestBackwardCache:
+    @staticmethod
+    def coupling_caches(cache):
+        return [c for level in cache for c in level if isinstance(c, dict)]
+
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+    def test_relu_outputs_kept_in_grad_dtype(self, grad_dtype):
+        cfg = FlowConfig(levels=2, depth=1, coupling_width=4, input_shape=(1, 8, 8))
+        model = make_random_model(cfg, seed=39, grad_dtype=grad_dtype)
+        x = Rng(40).standard_normal((2, 1, 8, 8))
+        _, _, cache = model.forward(x, want_cache=True)
+        caches = self.coupling_caches(cache)
+        assert len(caches) == 2
+        for c in caches:
+            assert c["a1"].dtype == c["a2"].dtype == grad_dtype
+            assert c["xa"].dtype == c["scale"].dtype == np.float64
+
+    def test_inference_creates_no_float32_array(self, monkeypatch):
+        # every array derived from a coupling net's conv outputs is watched:
+        # a cast for the cache would show up as a float32 one
+        seen = []
+
+        class Watched(np.ndarray):
+            def __array_finalize__(self, obj):
+                seen.append(self.dtype)
+
+        model = make_random_model(tiny_config(), seed=41)
+        assert model.grad_dtype == np.float32
+        conv = flow_module.conv2d
+        monkeypatch.setattr(flow_module, "conv2d", lambda *a: conv(*a).view(Watched))
+        x = Rng(42).standard_normal((2, 1, 4, 4))
+        model.forward(x)
+        assert seen and np.float32 not in seen
+        model.forward(x, want_cache=True)
+        assert np.float32 in seen
 
 
 class TestSetParams:

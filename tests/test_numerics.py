@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vowelflow import numerics
 from vowelflow.numerics import (
     Rng,
     ShapeError,
@@ -324,6 +325,133 @@ class TestConv2dBackward:
                 op(*args)
 
 
+def im2col_reference(x, kh, kw):
+    """Whole-batch (B, C*kh*kw, H*W) patch matrix of the "same"-padded x."""
+    b, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h * w)
+
+
+def conv_whole_batch(x, kernel, bias):
+    """`kernel @ im2col` over the whole batch, for O >= C."""
+    o, c, kh, kw = kernel.shape
+    b, _, h, w = x.shape
+    y = kernel.reshape(o, c * kh * kw) @ im2col_reference(x, kh, kw)
+    y += bias[:, None]
+    return y.reshape(b, o, h, w)
+
+
+def kernel_grad_whole_batch(grad_out, x, kh, kw):
+    """Per-image GEMMs on one whole-batch patch matrix of the narrower side,
+    summed over the batch."""
+    b, o, h, w = grad_out.shape
+    c = x.shape[1]
+    if o >= c:
+        prods = grad_out.reshape(b, o, h * w) @ im2col_reference(x, kh, kw).transpose(0, 2, 1)
+        return prods.sum(axis=0).reshape(o, c, kh, kw)
+    prods = im2col_reference(grad_out, kh, kw) @ x.reshape(b, c, h * w).transpose(0, 2, 1)
+    gk = prods.sum(axis=0).reshape(o, kh, kw, c)
+    return np.ascontiguousarray(gk[:, ::-1, ::-1].transpose(0, 3, 1, 2))
+
+
+def kernel_grad_oracle(grad_out, x, kh, kw):
+    """d sum(grad_out * conv2d(x, k, b)) / dk, one tap at a time."""
+    _, _, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    gk = np.empty((grad_out.shape[1], x.shape[1], kh, kw))
+    for u in range(kh):
+        for v in range(kw):
+            gk[:, :, u, v] = np.einsum("bohw,bchw->oc", grad_out, xp[:, :, u : u + h, v : v + w])
+    return gk
+
+
+class TestConvTiling:
+    # B=3 images of 5 rows of 16 pixels; O = C gathers the input for the
+    # forward and kernel gradient and grad_out for the input gradient, O < C
+    # gathers grad_out for both gradients.  A band is 16 * rows pixels: BLAS
+    # gives a band's output column the bits it has in the whole-image GEMM
+    # when the band is a whole number of SIMD vectors wide, which 16 pixels
+    # are in float64 and float32 alike.
+    SHAPES = ((3, 4, 5, 16, 4), (3, 6, 5, 16, 3))
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = Rng(37)
+        out = []
+        for b, c, h, w, o in self.SHAPES:
+            x = rng.standard_normal((b, c, h, w))
+            k = rng.standard_normal((o, c, 3, 3))
+            bias = rng.standard_normal(o)
+            g = rng.standard_normal((b, o, h, w))
+            kflip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            oracle = (
+                np.stack([conv2d_oracle(x[i], k, bias) for i in range(b)]),
+                np.stack([conv2d_oracle(g[i], kflip, np.zeros(c)) for i in range(b)]),
+                kernel_grad_oracle(g, x, 3, 3),
+            )
+            out.append(((x, k, bias, g), oracle))
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("tiling", ["images", "image", "bands"])
+    def test_tiles_match_whole_batch(self, cases, monkeypatch, tiling, dtype):
+        for (x, k, bias, g), oracle in cases:
+            x, k, bias, g = (a.astype(dtype) for a in (x, k, bias, g))
+            b, c, h, w = x.shape
+            o = k.shape[0]
+            # every tiled gather is of the min(O, C)-channel side
+            row = min(o, c) * 9 * w * x.itemsize
+            patch = {"images": 2 * h * row + row, "image": h * row, "bands": 2 * row}[tiling]
+            monkeypatch.setattr(numerics, "PATCH_BYTES", patch)
+
+            y = conv2d(x, k, bias)
+            gx, gk, gb = conv2d_backward(g, x, k)
+            kflip = np.ascontiguousarray(k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            if o >= c:
+                np.testing.assert_array_equal(y, conv_whole_batch(x, k, bias))
+            if c >= o:
+                np.testing.assert_array_equal(gx, conv_whole_batch(g, kflip, np.zeros(c, dtype)))
+            np.testing.assert_array_equal(gb, g.sum(axis=(0, 2, 3)))
+            gk_ref = kernel_grad_whole_batch(g, x, 3, 3)
+            if tiling != "bands":
+                np.testing.assert_array_equal(gk, gk_ref)
+            elif dtype == np.float64:
+                np.testing.assert_allclose(gk, gk_ref, rtol=1e-12, atol=0)
+            else:  # a band's partial sums, rounded to float32
+                assert np.linalg.norm(gk - gk_ref) <= 1e-6 * np.linalg.norm(gk_ref)
+
+            tol = 1e-12 if dtype == np.float64 else 1e-5
+            for got, want in zip((y, gx, gk), oracle):
+                assert got.dtype == dtype
+                np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
+
+    def test_empty_batch(self):
+        x = np.zeros((0, 4, 5, 5))
+        k = np.ones((4, 4, 3, 3))
+        assert conv2d(x, k, np.zeros(4)).shape == x.shape
+        gx, gk, gb = conv2d_backward(np.zeros((0, 4, 5, 5)), x, k)
+        assert gx.shape == x.shape and not gk.any() and not gb.any()
+
+    def test_backward_memory_is_bounded_by_the_tile(self, monkeypatch):
+        # the whole-batch patch matrix, 4 * 288 * 1024 * 8 bytes, would be
+        # 9.0 MiB, over 8 tiles; tiled, a call holds one tile of it
+        monkeypatch.setattr(numerics, "PATCH_BYTES", 2**20)
+        rng = Rng(38)
+        x = rng.standard_normal((4, 32, 32, 32))
+        k = rng.standard_normal((32, 32, 3, 3))
+        g = rng.standard_normal((4, 32, 32, 32))
+        assert x.size * 9 * 8 >= 8 * numerics.PATCH_BYTES
+        tracemalloc.start()
+        try:
+            gx, gk, gb = conv2d_backward(g, x, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        operands = x.nbytes + g.nbytes + k.nbytes + gx.nbytes + gk.nbytes + gb.nbytes
+        assert peak < operands + 2 * numerics.PATCH_BYTES
+
+
 # ---------------------------------------------------------------------------
 # rng
 
@@ -437,6 +565,19 @@ class TestTensorFormat:
         for n in range(len(raw)):
             with pytest.raises(ValueError):
                 read_tensor_from(io.BytesIO(raw[:n]))
+
+    def test_truncated_payload_message(self, tmp_path):
+        # a short payload names both sizes, from a file as from a buffer
+        buf = io.BytesIO()
+        write_tensor_to(buf, np.arange(6.0).reshape(2, 3))
+        raw = buf.getvalue()[:25]
+        path = tmp_path / "short.fstn"
+        path.write_bytes(raw)
+        message = "truncated FSTN payload: expected 48 bytes, got 5"
+        with pytest.raises(ValueError, match=message):
+            read_tensor_from(io.BytesIO(raw))
+        with pytest.raises(ValueError, match=message):
+            read_tensor(path)
 
     def test_all_values_finite_after_ops(self):
         rng = Rng(50)
