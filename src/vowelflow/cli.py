@@ -22,7 +22,6 @@ files under --out-dir, or to standard output for `grad-audit`.
 import argparse
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import sys
@@ -53,7 +52,7 @@ from .latent import (
     write_csv,
     write_image_strip,
 )
-from .numerics import Rng, read_tensor, read_tensor_from, write_tensor
+from .numerics import Rng, read_tensor, write_tensor
 from .signal import read_wav, stft, write_wav
 from .train import TrainConfig, build_model, grad_audit, load_checkpoint, train_loop
 
@@ -326,12 +325,10 @@ def _stored_codes(args: argparse.Namespace, out: Path, indices: list[int], code_
         encoded, hashes = key["indices"], key["sha256"]
         row = {index: r for r, index in enumerate(encoded)}
         rows = [row[i] for i in indices]
-        if any(hashes[name] != _sha256(path) for name, path in _code_inputs(args, out).items()):
+        files = {**_code_inputs(args, out), "codes.fstn": out / "codes.fstn"}
+        if any(hashes[name] != _sha256(path) for name, path in files.items()):
             return None
-        raw = (out / "codes.fstn").read_bytes()
-        if hashes["codes.fstn"] != hashlib.sha256(raw).hexdigest():
-            return None
-        codes = read_tensor_from(io.BytesIO(raw))
+        codes = read_tensor(out / "codes.fstn")
     except (OSError, ValueError, KeyError, TypeError):
         return None
     if codes.shape != (len(encoded), code_size):

@@ -9,9 +9,10 @@ average-pooled to S, then normalized by the training split's stats
 
 A corpus directory holds three files:
 
-* ``corpus.fstn``    - concatenated FSTN tensor records, one per segment;
+* ``corpus.fstn``    - one FSTN record per segment, a (1, S, S) image: all
+  records have one size, 24 + 8·S² bytes, so entry i starts at i times it;
 * ``manifest.jsonl`` - one JSON object per record with keys
-  utt, spk, gender, vowel, valid_frames, offset, noise_snr_db;
+  utt, spk, gender, vowel, valid_frames, noise_snr_db;
 * ``corpus.json``    - normalization stats, config echo and the train split.
 
 With ``write_wavs`` it also holds ``wavs/<index>.wav``, the audio of the
@@ -39,7 +40,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .numerics import Rng, read_tensor_from, write_tensor_to
+# `bench/spans.py` wraps `read_tensor_from`, `write_tensor_to` and `synth_vowel`
+# here by name (`tests/test_tracer.py` pins that), so all three stay imported
+from .numerics import Rng, fstn_header, read_tensor_from, record_bytes, write_tensor_to
 from .signal import (
     FORMANTS,
     MAG_FLOOR,
@@ -56,7 +59,7 @@ from .signal import (
     peak_normalize,
     read_wav,
     stft,
-    synth_vowel,  # noqa: F401  kept in this namespace; the build filters in blocks
+    synth_vowel,  # noqa: F401  never called: the build filters in blocks
     write_wav,
 )
 
@@ -135,7 +138,6 @@ class SyntheticSpec:
 class ManifestEntry:
     record: SegmentRecord
     valid_frames: int
-    offset: int
 
 
 @dataclass
@@ -146,9 +148,6 @@ class Manifest:
     train_utterances: list[str]
 
     def __post_init__(self):
-        offsets = [e.offset for e in self.entries]
-        if any(b <= a for a, b in zip(offsets, offsets[1:])):
-            raise ValueError("manifest offsets must be strictly increasing")
         mean, std = self.stats
         if not (math.isfinite(mean) and math.isfinite(std) and std > 0):
             raise ValueError(f"degenerate normalization stats {self.stats}")
@@ -456,9 +455,9 @@ def _write_corpus(
 ) -> Manifest:
     """Stream `raw` into a corpus under `out_dir`, one segment at a time.
 
-    Pass 1 writes each segment's un-normalized log image at its final
-    offset and keeps only its entry and its log-magnitude sums; the split
-    then fixes the stats, and pass 2 normalizes each record in place.
+    Pass 1 appends each segment's un-normalized log image to the archive
+    and keeps only its entry and its log-magnitude sums; the split then
+    fixes the stats, and pass 2 normalizes each record in place.
     """
     noise_rng = rng.spawn(2)
     split_rng = rng.spawn(3)
@@ -487,7 +486,7 @@ def _write_corpus(
                 if mag is None:
                     continue
                 logs = np.log(np.add(mag, MAG_FLOOR, out=mag), out=mag)
-                entries.append(ManifestEntry(vrec, mag.shape[0], offset=archive.tell()))
+                entries.append(ManifestEntry(vrec, mag.shape[0]))
                 write_tensor_to(archive, _log_image(logs, config.image_size, padded)[None])
                 total = float(logs.sum())
                 sums.append((total, float(np.square(logs, out=logs).sum()), logs.size))
@@ -530,12 +529,11 @@ def _write_corpus(
         entries=entries, stats=stats, config=config_echo, train_utterances=train_utts
     )
 
-    # pass 2: normalize each record in place
+    # pass 2: normalize each record in place, in order
     with open(out_dir / "corpus.fstn", "r+b") as archive:
-        for e in entries:
-            archive.seek(e.offset)
+        for _ in entries:
             image = read_tensor_from(archive)
-            archive.seek(e.offset)
+            archive.seek(-record_bytes(image), os.SEEK_CUR)
             write_tensor_to(archive, normalize(image, stats))
 
     save_manifest(manifest, out_dir)
@@ -556,7 +554,6 @@ def save_manifest(manifest: Manifest, out_dir: str | Path) -> None:
                 "gender": e.record.gender,
                 "vowel": e.record.vowel,
                 "valid_frames": e.valid_frames,
-                "offset": e.offset,
                 "noise_snr_db": e.record.noise_snr_db,
             }) + "\n")
     header = {
@@ -572,14 +569,6 @@ def save_manifest(manifest: Manifest, out_dir: str | Path) -> None:
 
 def load_manifest(corpus_dir: str | Path) -> Manifest:
     corpus_dir = Path(corpus_dir)
-    header_path = corpus_dir / "corpus.json"
-    try:
-        header = json.loads(header_path.read_text())
-        stats = (header["stats"]["mean"], header["stats"]["std"])
-        config = header["config"]
-        train_utterances = list(header["train_utterances"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{header_path}: bad corpus header ({exc!r})") from exc
     path = corpus_dir / "manifest.jsonl"
     entries = []
     for number, line in enumerate(path.read_text().splitlines(), start=1):
@@ -594,15 +583,19 @@ def load_manifest(corpus_dir: str | Path) -> Manifest:
                     noise_snr_db=row["noise_snr_db"],
                 ),
                 valid_frames=row["valid_frames"],
-                offset=row["offset"],
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}, line {number}: bad manifest row ({exc!r})") from exc
+    header_path = corpus_dir / "corpus.json"
     try:
-        return Manifest(entries, stats, config, train_utterances)
-    except ValueError as exc:
-        # the offsets come from manifest.jsonl, the stats from corpus.json
-        raise ValueError(f"{path} with {header_path.name}: {exc}") from exc
+        header = json.loads(header_path.read_text())
+        config = header["config"]
+        if not isinstance(config["image_size"], int):  # sizes the archive's records
+            raise TypeError(f"image_size {config['image_size']!r} is not an integer")
+        stats = (header["stats"]["mean"], header["stats"]["std"])
+        return Manifest(entries, stats, config, list(header["train_utterances"]))
+    except (KeyError, TypeError, ValueError) as exc:  # degenerate stats too
+        raise ValueError(f"{header_path}: bad corpus header ({exc!r})") from exc
 
 
 def wav_path(corpus_dir: str | Path, index: int) -> Path:
@@ -611,15 +604,21 @@ def wav_path(corpus_dir: str | Path, index: int) -> Path:
 
 
 class CorpusReader:
-    """Random access to archived spectrograms via manifest offsets.
-
-    Pass the corpus's already loaded `manifest` to skip parsing it again.
-    """
+    """Random access to the archive's (1, S, S) images by manifest index;
+    pass the corpus's already loaded `manifest` to skip parsing it again."""
 
     def __init__(self, corpus_dir: str | Path, manifest: Manifest | None = None):
         self.dir = Path(corpus_dir)
         self.manifest = load_manifest(self.dir) if manifest is None else manifest
+        size = self.manifest.config["image_size"]
+        self._shape = (1, size, size)
+        self._header = fstn_header(self._shape)
+        self._stride = len(self._header) + 8 * size * size
         self._archive = open(self.dir / "corpus.fstn", "rb")
+        n = len(self.manifest.entries)
+        if os.fstat(self._archive.fileno()).st_size != n * self._stride:
+            self.close()
+            raise ValueError(f"{self._archive.name}: not {n} records of {self._stride} bytes")
 
     def close(self):
         self._archive.close()
@@ -631,23 +630,19 @@ class CorpusReader:
         self.close()
 
     def pixels(self, index: int) -> np.ndarray:
-        self._archive.seek(self.manifest.entries[index].offset)
-        try:
-            return read_tensor_from(self._archive)
-        except ValueError as exc:
-            raise ValueError(f"{self._archive.name}, entry {index}: {exc}") from exc
+        return self.load([index])[0]
 
     def load(self, indices=None) -> np.ndarray:
-        """Stack of (N, 1, S, S) pixel tensors for the given indices, read
-        into one array: a loaded split is never held twice."""
+        """(N, 1, S, S) pixels of `indices`, all entries by default, in one array."""
+        entries = range(len(self.manifest.entries))
         if indices is None:
-            indices = range(len(self.manifest.entries))
-        out = None
-        for k, i in enumerate(indices):
-            image = self.pixels(i)
-            if out is None:
-                out = np.empty((len(indices), *image.shape))
-            out[k] = image
-        if out is None:
-            raise ValueError("no corpus entries to load")
-        return out
+            indices = entries
+        out = np.empty((len(indices), *self._shape), dtype="<f8")
+        for row, i in zip(out, indices):
+            self._archive.seek(entries[i] * self._stride)
+            header = self._archive.read(len(self._header))
+            if header != self._header:
+                what = "magic" if header[:4] != self._header[:4] else "header"
+                raise ValueError(f"{self._archive.name}, entry {i}: bad FSTN {what}")
+            self._archive.readinto(row)
+        return out.astype(np.float64, copy=False)

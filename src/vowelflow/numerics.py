@@ -305,11 +305,15 @@ def conv2d_backward(
 # tensor file format (FSTN)
 
 
+def fstn_header(shape: tuple[int, ...]) -> bytes:
+    """Magic, version, rank and extents: the bytes before an FSTN payload."""
+    return FSTN_MAGIC + struct.pack(f"<II{len(shape)}I", FSTN_VERSION, len(shape), *shape)
+
+
 def write_tensor_to(fp: BinaryIO, arr: np.ndarray) -> int:
     """Append one FSTN record to a binary stream; returns bytes written."""
     arr = np.asarray(arr, dtype=np.float64)
-    header = FSTN_MAGIC + struct.pack("<II", FSTN_VERSION, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
+    header = fstn_header(arr.shape)
     payload = arr.astype("<f8").tobytes(order="C")
     fp.write(header)
     fp.write(payload)
@@ -318,7 +322,7 @@ def write_tensor_to(fp: BinaryIO, arr: np.ndarray) -> int:
 
 def record_bytes(arr: np.ndarray) -> int:
     """Size of the FSTN record `write_tensor_to` writes for `arr`."""
-    return len(FSTN_MAGIC) + 8 + 4 * arr.ndim + 8 * arr.size
+    return len(fstn_header(arr.shape)) + 8 * arr.size
 
 
 def read_exact(fp: BinaryIO, n: int, what: str) -> bytes:

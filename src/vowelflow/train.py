@@ -233,6 +233,8 @@ def load_checkpoint(path: str | os.PathLike, adam: bool = True) -> LoadedCheckpo
         return _read_checkpoint(path, adam)
     except ValueError as exc:  # short reads, bad JSON, bad tensor records
         raise CheckpointError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError) as exc:  # a header key missing or unknown
+        raise CheckpointError(f"{path}: bad checkpoint header ({exc!r})") from exc
 
 
 def _read_checkpoint(path: str | os.PathLike, with_adam: bool) -> LoadedCheckpoint:

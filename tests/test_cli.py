@@ -383,6 +383,15 @@ class TestExitCodes:
         assert run(out, "encode") == EXIT_RUNTIME
         assert "corpus.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["train"], ["encode"], ["gauss-report", "--dims", "8"]])
+    def test_short_archive_is_runtime_error(self, pipeline, tmp_path, capsys, argv):
+        out = copy_run(pipeline, tmp_path / "run")
+        archive = out / "corpus.fstn"
+        archive.write_bytes(archive.read_bytes()[:-100])  # the last record cut short
+        capsys.readouterr()
+        assert run(out, *argv) == EXIT_RUNTIME
+        assert "corpus.fstn" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path):
         out = tmp_path / "out"
         assert run(out, "synth-data") == EXIT_OK
@@ -946,7 +955,7 @@ class TestCodeReuse:
         assert fresh_calls[0] > 1
         assert hit_calls == [1] + fresh_calls[1:]
         assert len(parses) == 1
-        assert sorted(hashed) == ["checkpoint.fsck", "corpus.fstn", "manifest.jsonl"]
+        assert sorted(hashed) == ["checkpoint.fsck", "codes.fstn", "corpus.fstn", "manifest.jsonl"]
 
     def test_interpolate_encodes_afresh(self, pipeline, tmp_path, monkeypatch):
         # its two rows encode faster than the files vouching for them hash

@@ -244,6 +244,11 @@ class TestDatasetConfig:
         assert DatasetConfig(train_fraction=1.0).train_fraction == 1.0
 
 
+# bytes per record of a 32x32 archive: the FSTN header of a (1, 32, 32)
+# tensor, then its float64 payload
+RECORD_32 = 24 + 8 * 32 * 32
+
+
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
@@ -369,7 +374,9 @@ class TestBuildCorpus:
         loaded = load_manifest(out)
         assert loaded.stats == manifest.stats
         assert loaded.train_utterances == manifest.train_utterances
-        assert [e.offset for e in loaded.entries] == [e.offset for e in manifest.entries]
+        assert [e.valid_frames for e in loaded.entries] == [
+            e.valid_frames for e in manifest.entries
+        ]
         assert [e.record.vowel for e in loaded.entries] == [
             e.record.vowel for e in manifest.entries
         ]
@@ -405,10 +412,10 @@ class TestBuildCorpus:
     def test_manifest_keys_pinned(self, small_corpus):
         out, _ = small_corpus
         rows = [json.loads(l) for l in (out / "manifest.jsonl").read_text().splitlines()]
-        expected = {"utt", "spk", "gender", "vowel", "valid_frames", "offset", "noise_snr_db"}
+        expected = {"utt", "spk", "gender", "vowel", "valid_frames", "noise_snr_db"}
         assert all(set(r) == expected for r in rows)
-        offsets = [r["offset"] for r in rows]
-        assert offsets == sorted(offsets) and len(set(offsets)) == len(offsets)
+        # one record per row, each a 24-byte header and a 1x32x32 payload
+        assert (out / "corpus.fstn").stat().st_size == len(rows) * RECORD_32
 
 
 class TestCorruptCorpus:
@@ -430,10 +437,10 @@ class TestCorruptCorpus:
         path = corpus_copy / "manifest.jsonl"
         lines = path.read_text().splitlines()
         row = json.loads(lines[2])
-        del row["offset"]
+        del row["valid_frames"]
         lines[2] = json.dumps(row)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"manifest\.jsonl, line 3\b.*offset"):
+        with pytest.raises(ValueError, match=r"manifest\.jsonl, line 3\b.*valid_frames"):
             load_manifest(corpus_copy)
 
     def test_torn_header(self, corpus_copy):
@@ -452,17 +459,18 @@ class TestCorruptCorpus:
         with pytest.raises(ValueError, match=rf"corpus\.json: bad corpus header.*{key}"):
             load_manifest(corpus_copy)
 
-    def test_nonincreasing_offsets_name_manifest(self, corpus_copy):
-        path = corpus_copy / "manifest.jsonl"
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        rows[1]["offset"] = rows[0]["offset"]
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        with pytest.raises(ValueError, match=r"manifest\.jsonl.*strictly increasing"):
+    def test_header_without_image_size(self, corpus_copy):
+        # the reader sizes the archive's records by it
+        path = corpus_copy / "corpus.json"
+        header = json.loads(path.read_text())
+        del header["config"]["image_size"]
+        path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=r"corpus\.json: bad corpus header.*image_size"):
             load_manifest(corpus_copy)
 
     def test_bad_archive_record(self, corpus_copy):
         path = corpus_copy / "corpus.fstn"
-        offset = load_manifest(corpus_copy).entries[3].offset
+        offset = 3 * RECORD_32
         raw = bytearray(path.read_bytes())
         raw[offset : offset + 4] = b"XXXX"
         path.write_bytes(bytes(raw))
@@ -470,6 +478,36 @@ class TestCorruptCorpus:
             reader.pixels(2)
             with pytest.raises(ValueError, match=r"corpus\.fstn, entry 3: bad FSTN magic"):
                 reader.pixels(3)
+
+    @pytest.mark.parametrize("entry", [0, 5])
+    def test_flipped_shape_byte_names_the_entry(self, corpus_copy, entry):
+        path = corpus_copy / "corpus.fstn"
+        raw = bytearray(path.read_bytes())
+        at = entry * RECORD_32 + 16  # the header's second extent: 32
+        assert raw[at] == 32
+        raw[at] = 33
+        path.write_bytes(bytes(raw))
+        with CorpusReader(corpus_copy) as reader:
+            with pytest.raises(ValueError, match=rf"corpus\.fstn, entry {entry}: bad FSTN header"):
+                reader.load()
+
+    def test_short_archive_refused_when_opened(self, corpus_copy):
+        path = corpus_copy / "corpus.fstn"
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(ValueError, match=r"corpus\.fstn: not 20 records of 8216 bytes"):
+            CorpusReader(corpus_copy)
+
+    def test_manifest_with_offsets_loads_the_same_pixels(self, corpus_copy):
+        # earlier builds wrote each record's byte offset into manifest.jsonl
+        with CorpusReader(corpus_copy) as reader:
+            want = reader.load()
+        path = corpus_copy / "manifest.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(
+            json.dumps({**row, "offset": i * RECORD_32}) + "\n" for i, row in enumerate(rows)
+        ))
+        with CorpusReader(corpus_copy) as reader:
+            np.testing.assert_array_equal(reader.load(), want)
 
 
 class TestRealCorpusIngestion:
@@ -502,22 +540,10 @@ class TestRealCorpusIngestion:
 
 
 class TestManifestInvariants:
-    def test_rejects_nonincreasing_offsets(self):
-        rec = rec_for("u")
-        entries = [
-            ManifestEntry(rec, valid_frames=10, offset=100),
-            ManifestEntry(rec, valid_frames=10, offset=100),
-        ]
-        with pytest.raises(ValueError):
-            Manifest(entries, stats=(0.0, 1.0), config={}, train_utterances=[])
-
     def test_noisy_entry_must_follow_its_clean_sibling(self):
         aa, iy = rec_for("u"), rec_for("u", vowel="iy")
         noisy_aa = SegmentRecord("u", "spkT", "M", "aa", noise_snr_db=10.0)
-        entries = [
-            ManifestEntry(rec, valid_frames=10, offset=k)
-            for k, rec in enumerate((aa, iy, noisy_aa))
-        ]
+        entries = [ManifestEntry(rec, valid_frames=10) for rec in (aa, iy, noisy_aa)]
         manifest = Manifest(entries, stats=(0.0, 1.0), config={}, train_utterances=[])
         with pytest.raises(ValueError, match=r"manifest\.jsonl, line 3: noisy u /aa/"):
             manifest.clean_noisy_pairs()

@@ -427,6 +427,23 @@ class TestCheckpoint:
         assert len(metrics["older"]) == 8
         assert metrics["older"] == metrics["current"]
 
+    @pytest.mark.parametrize("edit, names", [
+        (lambda meta: meta.pop("flow_config"), "flow_config"),
+        (lambda meta: meta["train_config"].update(warmup=10), "warmup"),
+    ])
+    def test_bad_header_behind_a_valid_crc_names_the_file(self, tmp_path, edit, names):
+        path, *_ = self._saved(tmp_path)
+        raw = path.read_bytes()
+        (length,) = struct.unpack("<Q", raw[8:16])
+        meta = json.loads(raw[16 : 16 + length])
+        edit(meta)
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        body = raw[:4] + struct.pack("<IQ", 2, len(blob)) + blob + raw[16 + length : -4]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        pattern = rf"^{re.escape(str(path))}: bad checkpoint header .*{names}"
+        with pytest.raises(CheckpointError, match=pattern):
+            load_checkpoint(path)
+
     @staticmethod
     def _adam_start(raw, model):
         """Offset of the first Adam record: after the header and the parameters."""
