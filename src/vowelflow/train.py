@@ -7,12 +7,13 @@ clipped by global norm, and feed a float64 Adam update with bias
 correction.  All randomness used by the loop (batch sampling and
 dequantization jitter) flows from one counter-based stream whose state
 is checkpointed, so a resumed run reproduces a straight run bit for
-bit.
+bit; the checkpoint also carries the divergence detector's first loss
+and streak, so a resumed run aborts at the step the straight run would.
 
-Checkpoint files start with the magic "FSCK", a u32 format version and
-a length-prefixed JSON header, followed by one tensor record per
-parameter and per Adam moment.  Version 2 ends with a u32 CRC-32 of
-every byte before it; version 1 files, which have none, still load.
+Checkpoint files start with the magic "FSCK", a u32 format version
+(2, the only one read) and a length-prefixed JSON header, followed by
+one tensor record per parameter and per Adam moment, and end with a u32
+CRC-32 of every byte before it.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import GRAD_DTYPE, AffineCoupling, FlowConfig, FlowModel, NonFiniteError, prior_logprob
-from .numerics import Rng, read_exact, read_tensor_from, record_bytes, write_tensor_to
+from .numerics import Rng, read_exact, read_tensor_from, write_tensor_to
 
 CHECKPOINT_MAGIC = b"FSCK"
-CHECKPOINT_VERSION = 2  # 2 added the CRC-32 trailer; 1 still loads
+CHECKPOINT_VERSION = 2  # 2 added the CRC-32 trailer; 1 is refused
 METRICS_HEADER = "step,nats_per_dim,bits_per_dim,grad_norm,wall_ms"
 # training aborts after DIVERGENCE_PATIENCE consecutive losses above
 # DIVERGENCE_FACTOR times the first
@@ -116,7 +117,6 @@ def loss_and_grads(
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    t: int = 0
 
     @classmethod
     def zeros_like(cls, params: dict[str, np.ndarray]) -> "AdamState":
@@ -135,8 +135,10 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     config: TrainConfig,
+    step: int,
 ) -> float:
-    """Clip by global norm, then update params in place.
+    """Clip by global norm, then update params in place; `step`, counted
+    from 1, sets the bias correction.
 
     Returns the pre-clip gradient norm (the value logged to metrics).
     """
@@ -144,9 +146,8 @@ def adam_step(
     if norm > config.clip_norm:
         scale = config.clip_norm / norm
         grads = {k: g * scale for k, g in grads.items()}
-    state.t += 1
-    c1 = 1.0 - config.beta1**state.t
-    c2 = 1.0 - config.beta2**state.t
+    c1 = 1.0 - config.beta1**step
+    c2 = 1.0 - config.beta2**step
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
@@ -171,15 +172,16 @@ def save_checkpoint(
     step: int,
     train_config: TrainConfig,
     initial_loss: float | None,
+    divergence_streak: int,
 ) -> None:
     """Write atomically: a temp file in the same directory, then rename."""
     params = model.params()
     names = list(params)
     meta = {
         "step": step,
-        "adam_t": adam.t,
         "rng_state": rng_state,
         "initial_loss": initial_loss,
+        "divergence_streak": divergence_streak,
         "flow_config": dataclasses.asdict(model.config),
         "train_config": dataclasses.asdict(train_config),
         "param_names": names,
@@ -218,16 +220,16 @@ class LoadedCheckpoint:
     step: int
     train_config: TrainConfig
     initial_loss: float | None
+    divergence_streak: int
 
 
 def load_checkpoint(path: str | os.PathLike, adam: bool = True) -> LoadedCheckpoint:
     """Read a checkpoint; a short, corrupt or malformed file raises
     CheckpointError naming the file.
 
-    With `adam` false the Adam moments, two thirds of the file, are not
-    parsed and the result's `adam` is None.  The file is checked all the
-    same: by its CRC-32 (version 2) and by its length against the records
-    skipped (version 1).
+    Every load checks the file's CRC-32 first, and refuses any version
+    but 2.  With `adam` false the Adam moments, two thirds of the file,
+    are not parsed and the result's `adam` is None.
     """
     try:
         return _read_checkpoint(path, adam)
@@ -242,34 +244,24 @@ def _read_checkpoint(path: str | os.PathLike, with_adam: bool) -> LoadedCheckpoi
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError("not a checkpoint file")
         (version,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint version"))
-        if version not in (1, CHECKPOINT_VERSION):
+        if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported version {version}")
         size = fh.seek(0, os.SEEK_END)
-        if version == 2:
-            fh.seek(max(size - 4, 8))
-            (stored,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint CRC-32"))
-            if _crc32(fh, size - 4) != stored:
-                raise CheckpointError("CRC-32 mismatch: the file is corrupt")
+        fh.seek(max(size - 4, 8))
+        (stored,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint CRC-32"))
+        if _crc32(fh, size - 4) != stored:
+            raise CheckpointError("CRC-32 mismatch: the file is corrupt")
         fh.seek(8)
         (length,) = struct.unpack("<Q", read_exact(fh, 8, "checkpoint header length"))
         meta = json.loads(read_exact(fh, length, "checkpoint header").decode("utf-8"))
         flow = meta["flow_config"]
         model = FlowModel(FlowConfig(**{**flow, "input_shape": tuple(flow["input_shape"])}))
         names = meta["param_names"]
-        params = {name: read_tensor_from(fh) for name in names}
-        model.set_params(params)
-        if with_adam:
-            adam = AdamState(
-                m={name: read_tensor_from(fh) for name in names},
-                v={name: read_tensor_from(fh) for name in names},
-                t=meta["adam_t"],
-            )
-        else:
-            # the two moment sets mirror the parameters, record for record
-            end = fh.tell() + 2 * sum(record_bytes(p) for p in params.values())
-            if size < end:
-                raise ValueError(f"truncated Adam moments: expected {end} bytes, got {size}")
-            adam = None
+        model.set_params({name: read_tensor_from(fh) for name in names})
+        adam = AdamState(
+            m={name: read_tensor_from(fh) for name in names},
+            v={name: read_tensor_from(fh) for name in names},
+        ) if with_adam else None
     return LoadedCheckpoint(
         model=model,
         adam=adam,
@@ -277,6 +269,8 @@ def _read_checkpoint(path: str | os.PathLike, with_adam: bool) -> LoadedCheckpoi
         step=meta["step"],
         train_config=TrainConfig(**meta["train_config"]),
         initial_loss=meta["initial_loss"],
+        # absent from checkpoints written before the streak was saved
+        divergence_streak=meta.get("divergence_streak", 0),
     )
 
 
@@ -383,6 +377,7 @@ def train_loop(
         adam = resume.adam
         start_step = resume.step
         detector.initial = resume.initial_loss
+        detector.streak = resume.divergence_streak
         if start_step >= config.steps:
             raise ValueError(
                 f"checkpoint is at step {start_step}, nothing left of {config.steps}"
@@ -411,7 +406,7 @@ def train_loop(
             if detector.update(loss):
                 metrics.flush()
                 raise DivergenceError(step, last_ckpt)
-            norm = adam_step(model.params(), grads, adam, config)
+            norm = adam_step(model.params(), grads, adam, config, step)
             wall_ms = (time.perf_counter() - t0) * 1e3
             losses.append(loss)
             metrics.write(
@@ -423,7 +418,8 @@ def train_loop(
             if step % config.checkpoint_every == 0 or step == config.steps:
                 metrics.flush()
                 save_checkpoint(
-                    ckpt_path, model, adam, rng.state, step, config, detector.initial
+                    ckpt_path, model, adam, rng.state, step, config,
+                    detector.initial, detector.streak,
                 )
                 last_ckpt = ckpt_path
     return TrainResult(

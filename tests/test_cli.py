@@ -30,7 +30,7 @@ from vowelflow.cli import (
 from vowelflow.dataset import load_manifest
 from vowelflow.latent import DEFAULT_DENOISE_BETAS, DEFAULT_INTERP_ALPHAS, encode_batch
 from vowelflow.numerics import Rng, conv2d, read_tensor
-from vowelflow.signal import read_wav, synth_vowel, write_wav
+from vowelflow.signal import read_wav, stft, synth_vowel, write_wav
 from vowelflow.train import load_checkpoint
 
 # Tiny but complete setup: 2 speakers x 5 vowels x 3 draws with 10 dB noisy
@@ -825,6 +825,27 @@ class TestArtifacts:
         wav = read_wav(pipeline / "recon_spk00_aa_000.wav")
         assert len(wav) > 1000
         assert np.isfinite(wav).all()
+
+    def test_reconstruct_noisy_twin(self, pipeline, tmp_path, capsys):
+        manifest = load_manifest(pipeline)
+        utt = manifest.segment_ids()[0]
+        noisy = cli._find_segment(manifest, utt, noisy=True)
+        capsys.readouterr()
+        assert run(pipeline, "reconstruct", "--utt", utt, "--noisy") == EXIT_OK
+        assert f"recon_{utt}_noisy.wav (" in capsys.readouterr().err
+        # the twin's image carried on the twin's phase
+        with dataset.CorpusReader(pipeline, manifest) as reader:
+            image = reader.load([noisy])[0, 0]
+        phase = stft(read_wav(dataset.wav_path(pipeline, noisy)))
+        want = dataset.image_to_waveform(image, manifest.stats, phase)
+        write_wav(tmp_path / "want.wav", want)
+        wav = read_wav(pipeline / f"recon_{utt}_noisy.wav")
+        assert np.array_equal(wav, read_wav(tmp_path / "want.wav"))
+        # a clean-only corpus has no twin to reconstruct
+        clean = tmp_path / "clean"
+        assert run(clean, "--data.noise_snr_db", "none", "synth-data") == EXIT_OK
+        assert run(clean, "reconstruct", "--utt", utt, "--noisy") == EXIT_RUNTIME
+        assert f"no noisy segment with id {utt!r}" in capsys.readouterr().err
 
     def test_reconstruct_from_tensor_stack(self, pipeline):
         rc = run(

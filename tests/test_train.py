@@ -169,8 +169,8 @@ class TestAdam:
         state = AdamState.zeros_like(params)
         gs = [float(g) for g in Rng(4).standard_normal(10)]
         expected = adam_reference(0.5, gs, 0.1, 0.9, 0.999, 1e-8)
-        for g, want in zip(gs, expected):
-            adam_step(params, {"w": np.array([g])}, state, cfg)
+        for step, (g, want) in enumerate(zip(gs, expected), start=1):
+            adam_step(params, {"w": np.array([g])}, state, cfg, step)
             npt.assert_allclose(params["w"][0], want, rtol=1e-12)
 
     def test_zero_betas_single_step(self):
@@ -178,7 +178,7 @@ class TestAdam:
         params = {"w": np.array([2.0])}
         state = AdamState.zeros_like(params)
         g = -0.7
-        adam_step(params, {"w": np.array([g])}, state, cfg)
+        adam_step(params, {"w": np.array([g])}, state, cfg, 1)
         npt.assert_allclose(params["w"][0], 2.0 - 0.1 * g / (abs(g) + 1e-8), rtol=1e-15)
 
     def test_global_norm(self):
@@ -192,8 +192,8 @@ class TestAdam:
         p2 = {"a": np.array([1.0]), "b": np.array([1.0])}
         s1 = AdamState.zeros_like(p1)
         s2 = AdamState.zeros_like(p2)
-        norm = adam_step(p1, {"a": np.array([3.0]), "b": np.array([4.0])}, s1, cfg_clip)
-        adam_step(p2, {"a": np.array([0.6]), "b": np.array([0.8])}, s2, cfg_free)
+        norm = adam_step(p1, {"a": np.array([3.0]), "b": np.array([4.0])}, s1, cfg_clip, 1)
+        adam_step(p2, {"a": np.array([0.6]), "b": np.array([0.8])}, s2, cfg_free, 1)
         assert norm == 5.0
         npt.assert_allclose(p1["a"], p2["a"], rtol=1e-15)
         npt.assert_allclose(p1["b"], p2["b"], rtol=1e-15)
@@ -202,7 +202,7 @@ class TestAdam:
         cfg = TrainConfig(clip_norm=0.5)
         params = {"a": np.array([0.0])}
         state = AdamState.zeros_like(params)
-        assert adam_step(params, {"a": np.array([12.0])}, state, cfg) == 12.0
+        assert adam_step(params, {"a": np.array([12.0])}, state, cfg, 1) == 12.0
 
 
 class TestFloat32Gradients:
@@ -243,7 +243,7 @@ class TestFloat32Gradients:
         params = m32.params()
         state = AdamState.zeros_like(params)
         _, grads = loss_and_grads(m32, batch)
-        adam_step(params, grads, state, TrainConfig())
+        adam_step(params, grads, state, TrainConfig(), 1)
         for name, p in m32.params().items():
             arrays = (p, state.m[name], state.v[name])
             assert [a.dtype for a in arrays] == [np.float64] * 3, name
@@ -324,14 +324,13 @@ class TestCheckpoint:
     def _saved(self, tmp_path):
         model = make_random_model(tiny_config(), seed=5, perturb_coupling=0.2)
         adam = AdamState.zeros_like(model.params())
-        adam.t = 3
         for k in adam.m:
             adam.m[k][...] = Rng(6).standard_normal(adam.m[k].shape)
         rng = Rng(7)
         rng.standard_normal(17)
         path = tmp_path / "model.fsck"
         cfg = small_train_config()
-        save_checkpoint(path, model, adam, rng.state, 42, cfg, 1.25)
+        save_checkpoint(path, model, adam, rng.state, 42, cfg, 1.25, 9)
         return path, model, adam, rng, cfg
 
     def test_magic_and_version(self, tmp_path):
@@ -354,26 +353,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: CRC-32 mismatch"):
             load_checkpoint(path)
 
-    def test_version_1_file_loads(self, tmp_path):
-        # version 1, written before the CRC-32 trailer: no trailer, no check
-        path, model, adam, _, cfg = self._saved(tmp_path)
-        raw = path.read_bytes()
-        old = tmp_path / "v1.fsck"
-        old.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:-4])
-        loaded = load_checkpoint(old)
-        assert (loaded.step, loaded.train_config) == (42, cfg)
-        for k, v in model.params().items():
-            npt.assert_array_equal(loaded.model.params()[k], v)
-            npt.assert_array_equal(loaded.adam.v[k], adam.v[k])
-
     def test_round_trip_is_bitwise(self, tmp_path):
         path, model, adam, rng, cfg = self._saved(tmp_path)
         loaded = load_checkpoint(path)
         assert loaded.step == 42
-        assert loaded.initial_loss == 1.25
+        assert (loaded.initial_loss, loaded.divergence_streak) == (1.25, 9)
         assert loaded.train_config == cfg
         assert loaded.model.config == model.config
-        assert loaded.adam.t == 3
         for k, v in model.params().items():
             npt.assert_array_equal(loaded.model.params()[k], v)
             npt.assert_array_equal(loaded.adam.m[k], adam.m[k])
@@ -398,9 +384,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("adam", [True, False])
+    def test_version_1_file_rejected(self, tmp_path, adam):
+        # version 1 predates the CRC-32 trailer: no file of it is trusted,
+        # intact or with a flipped payload byte (the last Adam moment's)
+        path, *_ = self._saved(tmp_path)
+        raw = path.read_bytes()
+        v1 = bytearray(raw[:4] + struct.pack("<I", 1) + raw[8:-4])
+        old = tmp_path / "v1.fsck"
+        for flip in (False, True):
+            if flip:
+                v1[-1] ^= 0x10
+            old.unlink(missing_ok=True)
+            old.write_bytes(bytes(v1))
+            with pytest.raises(
+                CheckpointError, match=rf"^{re.escape(str(old))}: unsupported version 1$"
+            ):
+                load_checkpoint(old, adam=adam)
+
     def test_older_header_keys_load_and_resume(self, tmp_path):
-        # checkpoints used to carry the corpus stats and an actnorm flag in
-        # their header; the reader ignores both, so such files still resume
+        # checkpoints used to carry the corpus stats, an actnorm flag and
+        # Adam's own step count in their header, and no divergence streak;
+        # the reader ignores the three, so such files still resume
         data = structured_data()
         half = small_train_config(steps=4, checkpoint_every=4)
         full = small_train_config(steps=8, checkpoint_every=4)
@@ -412,14 +417,13 @@ class TestCheckpoint:
             raw = path.read_bytes()
             (length,) = struct.unpack("<Q", raw[8:16])
             meta = json.loads(raw[16 : 16 + length])
-            assert not {"stats", "actnorms_initialized"} & set(meta)
+            assert not {"stats", "actnorms_initialized", "adam_t"} & set(meta)
             if name == "older":
-                # such files predate the CRC-32 trailer: version 1, no trailer
-                meta.update(stats=[-6.0, 3.0], actnorms_initialized=True)
+                del meta["divergence_streak"]
+                meta.update(stats=[-6.0, 3.0], actnorms_initialized=True, adam_t=4)
                 blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-                path.write_bytes(
-                    raw[:4] + struct.pack("<IQ", 1, len(blob)) + blob + raw[16 + length : -4]
-                )
+                body = raw[:4] + struct.pack("<IQ", 2, len(blob)) + blob + raw[16 + length : -4]
+                path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
             loaded = load_checkpoint(path)
             assert loaded.step == 4
             train_loop(loaded.model, data, full, out, resume=loaded)
@@ -474,21 +478,6 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: CRC-32 mismatch"):
             load_checkpoint(path, adam=False)
-
-    @pytest.mark.parametrize("adam", [True, False])
-    def test_version_1_truncated_in_the_moments_rejected(self, tmp_path, adam):
-        path, model, *_ = self._saved(tmp_path)
-        raw = path.read_bytes()
-        v1 = raw[:4] + struct.pack("<I", 1) + raw[8:-4]
-        start = self._adam_start(v1, model)
-        cut = tmp_path / "v1.fsck"
-        for n in range(start, len(v1), 97):
-            cut.unlink(missing_ok=True)
-            cut.write_bytes(v1[:n])
-            with pytest.raises(CheckpointError, match=rf"^{re.escape(str(cut))}: "):
-                load_checkpoint(cut, adam=adam)
-        cut.write_bytes(v1)
-        assert load_checkpoint(cut, adam=adam).step == 42
 
     def test_every_truncation_rejected_model_only(self, tmp_path):
         path, *_ = self._saved(tmp_path)
@@ -638,6 +627,31 @@ class TestTrainLoop:
         assert loaded.step == exc.value.step - 1
         rows = read_metrics(tmp_path / "metrics.csv")
         assert len(rows) == exc.value.step - 1
+
+    def test_resume_keeps_the_divergence_streak(self, tmp_path, monkeypatch):
+        # the loss jumps 20-fold after step 1 and stays there, so the
+        # streak starts at step 2 and reaches DIVERGENCE_PATIENCE at 51
+        real = train.loss_and_grads
+
+        def jump(model, batch, init_actnorm=False):
+            _, grads = real(model, batch, init_actnorm)
+            return (1.0 if init_actnorm else 20.0), grads
+
+        monkeypatch.setattr(train, "loss_and_grads", jump)
+        data = structured_data()
+        full = small_train_config(steps=100, checkpoint_every=30)
+        with pytest.raises(DivergenceError) as straight:
+            train_loop(build_model(tiny_config(), full.seed), data, full, tmp_path / "a")
+        half = small_train_config(steps=30, checkpoint_every=30)
+        train_loop(build_model(tiny_config(), half.seed), data, half, tmp_path / "b")
+        loaded = load_checkpoint(tmp_path / "b" / "checkpoint.fsck")
+        assert loaded.divergence_streak == 29
+        with pytest.raises(DivergenceError) as resumed:
+            train_loop(loaded.model, data, full, tmp_path / "b", resume=loaded)
+        assert straight.value.step == resumed.value.step == 1 + DIVERGENCE_PATIENCE
+        assert strip_wall(tmp_path / "a" / "metrics.csv") == strip_wall(
+            tmp_path / "b" / "metrics.csv"
+        )
 
     def test_empty_data_rejected(self, tmp_path):
         cfg = small_train_config()
