@@ -479,6 +479,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: CRC-32 mismatch"):
             load_checkpoint(path, adam=False)
 
+    @pytest.mark.parametrize("adam", [True, False])
+    def test_version_1_truncated_in_the_moments_rejected(self, tmp_path, adam):
+        # a version-1 file cut inside its Adam moments is refused by its
+        # version, with or without the moments asked for, as is the whole file
+        path, model, *_ = self._saved(tmp_path)
+        raw = path.read_bytes()
+        v1 = raw[:4] + struct.pack("<I", 1) + raw[8:-4]
+        start = self._adam_start(v1, model)
+        cut = tmp_path / "v1.fsck"
+        for n in [*range(start, len(v1), 97), len(v1)]:
+            cut.unlink(missing_ok=True)
+            cut.write_bytes(v1[:n])
+            with pytest.raises(
+                CheckpointError, match=rf"^{re.escape(str(cut))}: unsupported version 1$"
+            ):
+                load_checkpoint(cut, adam=adam)
+
     def test_every_truncation_rejected_model_only(self, tmp_path):
         path, *_ = self._saved(tmp_path)
         raw = path.read_bytes()
