@@ -57,8 +57,8 @@ with CorpusReader(out) as reader:
 
     clean_i, noisy_i = held[0]
     target = manifest.entries[noisy_i].record.utterance_id
-    clean_px = reader.pixels(clean_i)
-    z, _ = encode_batch(model, reader.pixels(noisy_i)[None])
+    clean_px, noisy_px = reader.load([clean_i, noisy_i])
+    z, _ = encode_batch(model, noisy_px[None])
 
 # Sweep beta from 0 (untouched) to 0.8 and track the distance to the
 # clean reference.  The Sweep holds each beta (ts), code and image.

@@ -46,7 +46,7 @@ def to_waveform(image, phase_utt, name):
 # First the identity check: a segment's own image carried on its own
 # phase should sound like the original (minus pooling loss).
 with CorpusReader(out, manifest) as reader:
-    aa = reader.pixels(utts["spk00_aa_000"])
+    aa = reader.load([utts["spk00_aa_000"]])[0]
 to_waveform(aa[0], "spk00_aa_000", "recon_aa.wav")
 
 # Then a model output: the halfway point between /aa/ and /ae/ decoded

@@ -143,9 +143,6 @@ class RunConfig:
         self.seed = seed
         self.sections = sections
 
-    def __getitem__(self, section: str) -> dict:
-        return self.sections[section]
-
     def echo(self) -> str:
         """One-line JSON of the merged config, embedded in artifacts."""
         doc = {"seed": self.seed}

@@ -70,6 +70,7 @@ FULL_FRAMES = 288
 FREQ_ZERO_BANDS = FULL_FRAMES - (STFT.fft_size // 2 + 1)
 
 GENDERS = ("M", "F", "unknown")
+TRAIN_FRACTION = 0.9  # of utterances in the training split
 
 # synthetic-speaker draw ranges, per gender
 _F0_RANGE = {"M": (85.0, 180.0), "F": (160.0, 300.0)}
@@ -109,7 +110,6 @@ class SegmentRecord:
 class DatasetConfig:
     image_size: int = 32  # desk scale; 288 for full runs
     noise_snr_db: float | None = None  # noisy twin per record when set
-    train_fraction: float = 0.9
     write_wavs: bool = False
 
     def __post_init__(self):
@@ -121,8 +121,6 @@ class DatasetConfig:
             raise ValueError(
                 f"noise_snr_db must be finite (none means no noise), got {self.noise_snr_db}"
             )
-        if not 0 < self.train_fraction <= 1:  # also rejects nan
-            raise ValueError(f"train_fraction must be in (0, 1], got {self.train_fraction}")
 
 
 @dataclass
@@ -500,7 +498,7 @@ def _write_corpus(
     # 90/10 split by utterance
     utterances = sorted({e.record.utterance_id for e in entries})
     order = split_rng.permutation(len(utterances))
-    n_train = max(1, int(round(config.train_fraction * len(utterances))))
+    n_train = max(1, int(round(TRAIN_FRACTION * len(utterances))))
     train_utts = sorted(utterances[i] for i in order[:n_train])
     train_set = set(train_utts)
 
@@ -522,7 +520,7 @@ def _write_corpus(
         "image_size": config.image_size,
         "stft": asdict(STFT),
         "noise_snr_db": config.noise_snr_db,
-        "train_fraction": config.train_fraction,
+        "train_fraction": TRAIN_FRACTION,
         "seed": rng.seed,
     }
     manifest = Manifest(
@@ -628,9 +626,6 @@ class CorpusReader:
 
     def __exit__(self, *exc):
         self.close()
-
-    def pixels(self, index: int) -> np.ndarray:
-        return self.load([index])[0]
 
     def load(self, indices=None) -> np.ndarray:
         """(N, 1, S, S) pixels of `indices`, all entries by default, in one array."""

@@ -39,6 +39,10 @@ METRICS_HEADER = "step,nats_per_dim,bits_per_dim,grad_norm,wall_ms"
 # DIVERGENCE_FACTOR times the first
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_PATIENCE = 50
+# Adam's settings (Kingma & Ba's defaults).  Older checkpoints carry them
+# in train_config; the reader drops each that holds its constant's value.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+_RETIRED_KEYS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
 
 
 class CheckpointError(ValueError):
@@ -57,29 +61,25 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Optimization settings; defaults are the desk-scale smoke run."""
+    """Optimization settings; defaults are the desk-scale smoke run.
+    Adam's betas and eps are the ADAM_* constants, not settings."""
 
     steps: int = 500
     batch_size: int = 16
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 50.0
     jitter: float = 1e-2
     seed: int = 0
     checkpoint_every: int = 100
 
     def __post_init__(self):
-        floats = ("lr", "beta1", "beta2", "eps", "clip_norm", "jitter")
+        floats = ("lr", "clip_norm", "jitter")
         if not all(math.isfinite(getattr(self, name)) for name in floats):
             raise ValueError(f"{', '.join(floats)} must be finite")
         if self.steps < 1 or self.batch_size < 1 or self.checkpoint_every < 1:
             raise ValueError("steps, batch_size and checkpoint_every must be >= 1")
-        if self.lr <= 0 or self.eps <= 0 or self.clip_norm <= 0:
-            raise ValueError("lr, eps and clip_norm must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
+        if self.lr <= 0 or self.clip_norm <= 0:
+            raise ValueError("lr and clip_norm must be positive")
         if self.jitter < 0:
             raise ValueError("jitter must be non-negative")
 
@@ -137,8 +137,9 @@ def adam_step(
     config: TrainConfig,
     step: int,
 ) -> float:
-    """Clip by global norm, then update params in place; `step`, counted
-    from 1, sets the bias correction.
+    """Clip by global norm, then update params in place with Adam at
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPS; `step`, counted from 1, sets the
+    bias correction.
 
     Returns the pre-clip gradient norm (the value logged to metrics).
     """
@@ -146,17 +147,17 @@ def adam_step(
     if norm > config.clip_norm:
         scale = config.clip_norm / norm
         grads = {k: g * scale for k, g in grads.items()}
-    c1 = 1.0 - config.beta1**step
-    c2 = 1.0 - config.beta2**step
+    c1 = 1.0 - ADAM_BETA1**step
+    c2 = 1.0 - ADAM_BETA2**step
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * g * g
-        p -= config.lr * (m / c1) / (np.sqrt(v / c2) + config.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= config.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return norm
 
 
@@ -254,6 +255,10 @@ def _read_checkpoint(path: str | os.PathLike, with_adam: bool) -> LoadedCheckpoi
         fh.seek(8)
         (length,) = struct.unpack("<Q", read_exact(fh, 8, "checkpoint header length"))
         meta = json.loads(read_exact(fh, length, "checkpoint header").decode("utf-8"))
+        train_config = dict(meta["train_config"])
+        for key, value in _RETIRED_KEYS.items():  # any other value fails TrainConfig
+            if train_config.get(key) == value:
+                del train_config[key]
         flow = meta["flow_config"]
         model = FlowModel(FlowConfig(**{**flow, "input_shape": tuple(flow["input_shape"])}))
         names = meta["param_names"]
@@ -267,7 +272,7 @@ def _read_checkpoint(path: str | os.PathLike, with_adam: bool) -> LoadedCheckpoi
         adam=adam,
         rng_state=meta["rng_state"],
         step=meta["step"],
-        train_config=TrainConfig(**meta["train_config"]),
+        train_config=TrainConfig(**train_config),
         initial_loss=meta["initial_loss"],
         # absent from checkpoints written before the streak was saved
         divergence_streak=meta.get("divergence_streak", 0),

@@ -255,8 +255,8 @@ class TestAcceptance:
                 xi = displacement(z_clean, z_noisy)
                 per_beta = []
                 for clean_i, noisy_i in held:
-                    clean_px = reader.pixels(clean_i)
-                    z, _ = encode_batch(model, reader.pixels(noisy_i)[None])
+                    clean_px, noisy_px = reader.load([clean_i, noisy_i])
+                    z, _ = encode_batch(model, noisy_px[None])
                     result = denoise(model, z[0], xi, betas)
                     per_beta.append(
                         np.mean((result.images - clean_px[None]) ** 2, axis=(1, 2, 3))

@@ -6,9 +6,11 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import wave
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from vowelflow.cli import (
 )
 from vowelflow.dataset import load_manifest
 from vowelflow.latent import DEFAULT_DENOISE_BETAS, DEFAULT_INTERP_ALPHAS, encode_batch
-from vowelflow.numerics import Rng, conv2d, read_tensor
+from vowelflow.numerics import Rng, conv2d, read_tensor, write_tensor
 from vowelflow.signal import read_wav, stft, synth_vowel, write_wav
 from vowelflow.train import load_checkpoint
 
@@ -56,7 +58,6 @@ TINY_FLAGS = [
 DEFAULTS = {
     "data.image_size": 32,
     "data.noise_snr_db": None,
-    "data.train_fraction": 0.9,
     "data.write_wavs": False,
     "synth.n_speakers": 4,
     "synth.draws_per_vowel": 10,
@@ -66,20 +67,16 @@ DEFAULTS = {
     "train.steps": 500,
     "train.batch_size": 16,
     "train.lr": 1e-4,
-    "train.beta1": 0.9,
-    "train.beta2": 0.999,
-    "train.eps": 1e-8,
     "train.clip_norm": 50.0,
     "train.jitter": 0.01,
     "train.checkpoint_every": 100,
 }
 DEFAULT_ECHO = (
-    '{"data": {"image_size": 32, "noise_snr_db": null, "train_fraction": 0.9, '
-    '"write_wavs": false}, '
+    '{"data": {"image_size": 32, "noise_snr_db": null, "write_wavs": false}, '
     '"flow": {"coupling_width": 32, "depth": 2, "levels": 3}, "seed": 0, '
     '"synth": {"draws_per_vowel": 10, "n_speakers": 4}, '
-    '"train": {"batch_size": 16, "beta1": 0.9, "beta2": 0.999, "checkpoint_every": 100, '
-    '"clip_norm": 50.0, "eps": 1e-08, "jitter": 0.01, "lr": 0.0001, "steps": 500}}'
+    '"train": {"batch_size": 16, "checkpoint_every": 100, "clip_norm": 50.0, '
+    '"jitter": 0.01, "lr": 0.0001, "steps": 500}}'
 )
 
 
@@ -153,6 +150,20 @@ class TestExitCodes:
         assert main(["--data.fft_size", "512", "synth-data"]) == EXIT_USAGE
         assert main(["synth-data", "--data.fft_size", "512"]) == EXIT_USAGE
         assert "unrecognized arguments: --data.fft_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["data.train_fraction", "train.beta1", "train.beta2",
+                                     "train.eps"])
+    def test_retired_config_key_is_unknown(self, tmp_path, capsys, key):
+        # the split fraction and Adam's settings are constants now; a
+        # flag or a config file naming one is a usage error
+        section, name = key.split(".")
+        value = {"train_fraction": 0.8}.get(name, 0.9)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {name: value}}))
+        assert main(["--config", str(cfg), "train"]) == EXIT_USAGE
+        assert f"unknown config key {key}" in capsys.readouterr().err
+        assert main(["train", f"--{key}", str(value)]) == EXIT_USAGE
+        assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
 
     def test_stft_config_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -314,12 +325,14 @@ class TestExitCodes:
     def test_bad_train_fraction_rejected_before_any_stft(
         self, tmp_path, capsys, monkeypatch, fraction
     ):
+        # the split fraction is the constant dataset.TRAIN_FRACTION: no
+        # value of the retired key gets past the parser
         calls = []
         monkeypatch.setattr(dataset, "stft", lambda *a: calls.append(a))
         out = tmp_path / "out"
-        rc = main(["--data.train_fraction", fraction, "--out-dir", str(out), "synth-data"])
-        assert rc == EXIT_RUNTIME
-        assert "train_fraction must be in (0, 1]" in capsys.readouterr().err
+        rc = main(["--out-dir", str(out), "synth-data", "--data.train_fraction", fraction])
+        assert rc == EXIT_USAGE
+        assert "unrecognized arguments: --data.train_fraction" in capsys.readouterr().err
         assert calls == []
         assert not (out / "manifest.jsonl").exists()
 
@@ -330,7 +343,7 @@ class TestExitCodes:
          ("grad-audit", "data.image_size", "0", "input size, levels, depth"),
          ("grad-audit", "data.image_size", "-32", "input size, levels, depth"),
          ("train", "train.clip_norm", "nan", "clip_norm, jitter must be finite"),
-         ("train", "train.eps", "inf", "clip_norm, jitter must be finite"),
+         ("train", "train.clip_norm", "inf", "clip_norm, jitter must be finite"),
          ("train", "train.lr", "nan", "clip_norm, jitter must be finite"),
          ("train", "train.lr", "inf", "clip_norm, jitter must be finite"),
          ("train", "train.jitter", "inf", "clip_norm, jitter must be finite")],
@@ -543,17 +556,17 @@ class TestConfigMerging:
     def test_defaults(self):
         cfg = parse_config(["synth-data"])
         assert cfg.seed == 0
-        assert cfg["data"]["image_size"] == 32
-        assert cfg["train"]["lr"] == 1e-4
-        assert cfg["data"]["noise_snr_db"] is None
+        assert cfg.sections["data"]["image_size"] == 32
+        assert cfg.sections["train"]["lr"] == 1e-4
+        assert cfg.sections["data"]["noise_snr_db"] is None
 
     def test_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 7, "train": {"lr": 0.5}}))
         cfg = parse_config(["--config", str(path), "synth-data"])
         assert cfg.seed == 7
-        assert cfg["train"]["lr"] == 0.5
-        assert cfg["train"]["steps"] == 500
+        assert cfg.sections["train"]["lr"] == 0.5
+        assert cfg.sections["train"]["steps"] == 500
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -561,7 +574,7 @@ class TestConfigMerging:
         cfg = parse_config(
             ["--config", str(path), "--train.lr", "0.25", "synth-data"]
         )
-        assert cfg["train"]["lr"] == 0.25
+        assert cfg.sections["train"]["lr"] == 0.25
 
     def test_seed_flag_overrides_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -571,15 +584,15 @@ class TestConfigMerging:
 
     def test_flags_after_subcommand(self):
         cfg = parse_config(["synth-data", "--train.lr", "0.125"])
-        assert cfg["train"]["lr"] == 0.125
+        assert cfg.sections["train"]["lr"] == 0.125
 
     def test_none_word_clears_optional_float(self):
         cfg = parse_config(["--data.noise_snr_db", "none", "synth-data"])
-        assert cfg["data"]["noise_snr_db"] is None
+        assert cfg.sections["data"]["noise_snr_db"] is None
 
     def test_boolean_coercion(self):
         cfg = parse_config(["--data.write_wavs", "true", "synth-data"])
-        assert cfg["data"]["write_wavs"] is True
+        assert cfg.sections["data"]["write_wavs"] is True
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -602,7 +615,7 @@ class TestConfigMerging:
             for section, keys in cfg.sections.items()
             for key, value in keys.items()
         }
-        assert flags == set(DEFAULTS) and len(flags) == 18
+        assert flags == set(DEFAULTS) and len(flags) == 14
         assert defaults == DEFAULTS
         assert cfg.echo() == DEFAULT_ECHO
 
@@ -633,18 +646,18 @@ class TestConfigMerging:
 # added the shared flags itself; sharing them must not change a byte.  A
 # deliberate change to a flag or its help text updates this table.
 HELP_SHA256 = {
-    None: "860771976939bc41",
-    "synth-data": "6abbfc1e13e4845c",
-    "prepare": "75cc564a312a07ff",
-    "train": "b271775df49e1040",
-    "encode": "bf3e816b24bff73f",
-    "sample": "115c75264a05101f",
-    "interpolate": "0bfb4cfce6d3960f",
-    "denoise": "3a0c523d74c4ec9c",
-    "lda": "6866e048d1f77699",
-    "gauss-report": "1dd87509e4927ba3",
-    "reconstruct": "26ea465d3d7943f9",
-    "grad-audit": "ce1eeae4a0a90150",
+    None: "98382931ac490744",
+    "synth-data": "a0aa210e36691162",
+    "prepare": "add58ad3fc28ec0c",
+    "train": "5aeade7044b222e7",
+    "encode": "04c7e702cb76a404",
+    "sample": "202318a9fbf7cf5e",
+    "interpolate": "efceaad6d3af4d34",
+    "denoise": "fd6a344ae7d79549",
+    "lda": "e8f263f7249e48d1",
+    "gauss-report": "514921667136085f",
+    "reconstruct": "be5c84f9835dca0c",
+    "grad-audit": "d9245c739faabc09",
 }
 
 
@@ -678,7 +691,7 @@ class TestSharedFlags:
         )
         for args in (before, after):
             cfg = load_run_config(args)
-            assert (cfg.seed, args.out_dir, cfg["train"]["lr"]) == (3, "o", 0.5)
+            assert (cfg.seed, args.out_dir, cfg.sections["train"]["lr"]) == (3, "o", 0.5)
 
 
 class TestArtifacts:
@@ -847,12 +860,23 @@ class TestArtifacts:
         assert run(clean, "reconstruct", "--utt", utt, "--noisy") == EXIT_RUNTIME
         assert f"no noisy segment with id {utt!r}" in capsys.readouterr().err
 
-    def test_reconstruct_from_tensor_stack(self, pipeline):
+    def test_reconstruct_from_tensor_stack(self, pipeline, tmp_path):
+        # image 8 of a stack this test writes, carried on the utterance's phase
+        manifest = load_manifest(pipeline)
+        with dataset.CorpusReader(pipeline, manifest) as reader:
+            stack = reader.load(range(9))
+        write_tensor(tmp_path / "stack.fstn", stack)
         rc = run(
             pipeline, "reconstruct", "--utt", "spk00_aa_000",
-            "--from", str(pipeline / "interpolation.fstn"), "--index", "8",
+            "--from", str(tmp_path / "stack.fstn"), "--index", "8",
         )
         assert rc == EXIT_OK
+        index = cli._find_segment(manifest, "spk00_aa_000", noisy=False)
+        phase = stft(read_wav(dataset.wav_path(pipeline, index)))
+        want = dataset.image_to_waveform(stack[8, 0], manifest.stats, phase)
+        write_wav(tmp_path / "want.wav", want)
+        wav = read_wav(pipeline / "recon_spk00_aa_000.wav")
+        assert np.array_equal(wav, read_wav(tmp_path / "want.wav"))
 
     def test_grad_audit_reports_every_group(self, tmp_path, capsys):
         rc = run(tmp_path, "grad-audit")
@@ -1071,6 +1095,48 @@ class TestResume:
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert "--resume: seed differ" in err and "train.seed" not in err
+
+
+def retired_adam_keys(checkpoint, out, beta1):
+    """A CRC-valid copy of `checkpoint` whose train config carries Adam's
+    retired keys, as every checkpoint written before they were constants."""
+    raw = checkpoint.read_bytes()
+    (length,) = struct.unpack("<Q", raw[8:16])
+    meta = json.loads(raw[16 : 16 + length])
+    meta["train_config"].update(beta1=beta1, beta2=0.999, eps=1e-8)
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    body = raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length : -4]
+    out.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return str(out)
+
+
+class TestRetiredAdamKeys:
+    def test_at_their_defaults_encode_and_resume(self, pipeline, tmp_path):
+        # the older file encodes like the current one, and resumes to the
+        # rows a straight 14-step run logs
+        older = retired_adam_keys(pipeline / "checkpoint.fsck", tmp_path / "older.fsck", 0.9)
+        assert encode_into(tmp_path / "current", pipeline) == EXIT_OK
+        out = tmp_path / "older"
+        assert run(out, "encode", "--data", str(pipeline), "--checkpoint", older) == EXIT_OK
+        assert run(out, "train", "--data", str(pipeline), "--resume", older,
+                   "--train.steps", "14") == EXIT_OK
+        straight = tmp_path / "straight"
+        assert run(straight, "train", "--data", str(pipeline), "--train.steps", "14") == EXIT_OK
+        codes = [(d / "codes.fstn").read_bytes() for d in (tmp_path / "current", out)]
+        assert codes[0] == codes[1]
+        rows = [
+            [row.rsplit(",", 1)[0] for row in (d / "metrics.csv").read_text().splitlines()[2:]]
+            for d in (straight, out)
+        ]
+        assert len(rows[1]) == 2 and rows[0][-2:] == rows[1]
+
+    def test_other_value_is_a_bad_header(self, pipeline, tmp_path, capsys):
+        older = retired_adam_keys(pipeline / "checkpoint.fsck", tmp_path / "older.fsck", 0.5)
+        rc = run(tmp_path, "encode", "--data", str(pipeline), "--checkpoint", older)
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"{older}: bad checkpoint header" in err and "'beta1'" in err
+        assert not (tmp_path / "codes.fstn").exists()
 
 
 class TestDeterminism:

@@ -235,14 +235,6 @@ class TestDatasetConfig:
         with pytest.raises(ValueError, match="noise_snr_db must be finite"):
             DatasetConfig(noise_snr_db=snr)
 
-    @pytest.mark.parametrize("fraction", [0.0, -3.0, 1.5, 7.0, math.inf, math.nan])
-    def test_train_fraction_outside_unit_interval_rejected(self, fraction):
-        with pytest.raises(ValueError, match=r"train_fraction must be in \(0, 1\]"):
-            DatasetConfig(train_fraction=fraction)
-
-    def test_train_fraction_one_accepted(self):
-        assert DatasetConfig(train_fraction=1.0).train_fraction == 1.0
-
 
 # bytes per record of a 32x32 archive: the FSTN header of a (1, 32, 32)
 # tensor, then its float64 payload
@@ -296,7 +288,7 @@ class TestBuildCorpus:
         with CorpusReader(tmp_path, manifest) as reader:
             for i, (_, audio) in enumerate(segments):
                 want = magnitude_to_image(segment_to_spectrogram(audio), manifest.stats, image_size)
-                np.testing.assert_array_equal(reader.pixels(i), want)
+                np.testing.assert_array_equal(reader.load([i])[0], want)
 
     def test_audio_across_blocks_equals_lfilter_formula(self):
         # 2 speakers x 5 vowels x 26 draws = 260 segments: a full block and
@@ -475,9 +467,9 @@ class TestCorruptCorpus:
         raw[offset : offset + 4] = b"XXXX"
         path.write_bytes(bytes(raw))
         with CorpusReader(corpus_copy) as reader:
-            reader.pixels(2)
+            reader.load([2])
             with pytest.raises(ValueError, match=r"corpus\.fstn, entry 3: bad FSTN magic"):
-                reader.pixels(3)
+                reader.load([3])
 
     @pytest.mark.parametrize("entry", [0, 5])
     def test_flipped_shape_byte_names_the_entry(self, corpus_copy, entry):

@@ -164,7 +164,7 @@ def adam_reference(theta0, grads, lr, b1, b2, eps):
 
 class TestAdam:
     def test_matches_scalar_reference(self):
-        cfg = TrainConfig(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, clip_norm=1e9)
+        cfg = TrainConfig(lr=0.1, clip_norm=1e9)
         params = {"w": np.array([0.5])}
         state = AdamState.zeros_like(params)
         gs = [float(g) for g in Rng(4).standard_normal(10)]
@@ -173,8 +173,10 @@ class TestAdam:
             adam_step(params, {"w": np.array([g])}, state, cfg, step)
             npt.assert_allclose(params["w"][0], want, rtol=1e-12)
 
-    def test_zero_betas_single_step(self):
-        cfg = TrainConfig(lr=0.1, beta1=0.0, beta2=0.0, eps=1e-8, clip_norm=1e9)
+    def test_zero_betas_single_step(self, monkeypatch):
+        monkeypatch.setattr(train, "ADAM_BETA1", 0.0)
+        monkeypatch.setattr(train, "ADAM_BETA2", 0.0)
+        cfg = TrainConfig(lr=0.1, clip_norm=1e9)
         params = {"w": np.array([2.0])}
         state = AdamState.zeros_like(params)
         g = -0.7
@@ -262,10 +264,10 @@ class TestTrainConfig:
             {"batch_size": 0},
             {"lr": 0.0},
             {"lr": -1.0},
-            {"eps": 0.0},
+            {"lr": math.nan},
             {"clip_norm": 0.0},
-            {"beta1": 1.0},
-            {"beta2": -0.1},
+            {"clip_norm": math.inf},
+            {"jitter": math.nan},
             {"jitter": -1e-3},
             {"checkpoint_every": 0},
         ],
@@ -276,7 +278,8 @@ class TestTrainConfig:
 
     def test_defaults(self):
         cfg = TrainConfig()
-        assert (cfg.lr, cfg.beta1, cfg.beta2, cfg.eps) == (1e-4, 0.9, 0.999, 1e-8)
+        assert cfg.lr == 1e-4
+        assert (train.ADAM_BETA1, train.ADAM_BETA2, train.ADAM_EPS) == (0.9, 0.999, 1e-8)
         assert (cfg.clip_norm, cfg.batch_size, cfg.steps) == (50.0, 16, 500)
 
 
@@ -403,9 +406,10 @@ class TestCheckpoint:
                 load_checkpoint(old, adam=adam)
 
     def test_older_header_keys_load_and_resume(self, tmp_path):
-        # checkpoints used to carry the corpus stats, an actnorm flag and
-        # Adam's own step count in their header, and no divergence streak;
-        # the reader ignores the three, so such files still resume
+        # checkpoints used to carry the corpus stats, an actnorm flag,
+        # Adam's own step count and Adam's betas and eps in their header,
+        # and no divergence streak; the reader ignores the first three and
+        # drops the retired keys at their defaults, so such files resume
         data = structured_data()
         half = small_train_config(steps=4, checkpoint_every=4)
         full = small_train_config(steps=8, checkpoint_every=4)
@@ -421,6 +425,7 @@ class TestCheckpoint:
             if name == "older":
                 del meta["divergence_streak"]
                 meta.update(stats=[-6.0, 3.0], actnorms_initialized=True, adam_t=4)
+                meta["train_config"].update(beta1=0.9, beta2=0.999, eps=1e-8)
                 blob = json.dumps(meta, sort_keys=True).encode("utf-8")
                 body = raw[:4] + struct.pack("<IQ", 2, len(blob)) + blob + raw[16 + length : -4]
                 path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
@@ -434,6 +439,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit, names", [
         (lambda meta: meta.pop("flow_config"), "flow_config"),
         (lambda meta: meta["train_config"].update(warmup=10), "warmup"),
+        # a retired key is dropped only at its old default
+        (lambda meta: meta["train_config"].update(beta1=0.5), "beta1"),
+        (lambda meta: meta.update(train_config=None), "NoneType"),
     ])
     def test_bad_header_behind_a_valid_crc_names_the_file(self, tmp_path, edit, names):
         path, *_ = self._saved(tmp_path)
