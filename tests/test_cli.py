@@ -337,28 +337,34 @@ class TestExitCodes:
         assert not (out / "manifest.jsonl").exists()
 
     @pytest.mark.parametrize(
-        "command, key, value, message",
-        [("synth-data", "data.image_size", "0", "image_size must be a positive divisor"),
-         ("synth-data", "data.image_size", "-32", "image_size must be a positive divisor"),
-         ("grad-audit", "data.image_size", "0", "input size, levels, depth"),
-         ("grad-audit", "data.image_size", "-32", "input size, levels, depth"),
-         ("train", "train.clip_norm", "nan", "clip_norm, jitter must be finite"),
-         ("train", "train.clip_norm", "inf", "clip_norm, jitter must be finite"),
-         ("train", "train.lr", "nan", "clip_norm, jitter must be finite"),
-         ("train", "train.lr", "inf", "clip_norm, jitter must be finite"),
-         ("train", "train.jitter", "inf", "clip_norm, jitter must be finite")],
+        "command, key, value, message, code",
+        [("synth-data", "data.image_size", "0", "image_size must be a positive divisor", EXIT_RUNTIME),
+         ("synth-data", "data.image_size", "-32", "image_size must be a positive divisor", EXIT_RUNTIME),
+         ("grad-audit", "data.image_size", "0", "input size, levels, depth", EXIT_RUNTIME),
+         ("grad-audit", "data.image_size", "-32", "input size, levels, depth", EXIT_RUNTIME),
+         ("train", "train.clip_norm", "nan", "clip_norm, jitter must be finite", EXIT_RUNTIME),
+         ("train", "train.clip_norm", "inf", "clip_norm, jitter must be finite", EXIT_RUNTIME),
+         # Adam's eps is the constant train.ADAM_EPS: the parser knows no
+         # --train.eps, so it reads the value as the command and refuses it
+         ("train", "train.eps", "inf", "invalid choice: 'inf'", EXIT_USAGE),
+         ("train", "train.lr", "nan", "clip_norm, jitter must be finite", EXIT_RUNTIME),
+         ("train", "train.lr", "inf", "clip_norm, jitter must be finite", EXIT_RUNTIME),
+         ("train", "train.jitter", "inf", "clip_norm, jitter must be finite", EXIT_RUNTIME)],
     )
     def test_out_of_range_config_value_rejected_before_any_work(
-        self, tmp_path, capsys, monkeypatch, command, key, value, message
+        self, tmp_path, capsys, monkeypatch, command, key, value, message, code
     ):
         calls = []
         monkeypatch.setattr(dataset, "stft", lambda *a: calls.append(a))
         out = tmp_path / "out"
         rc = main([f"--{key}", value, "--out-dir", str(out), command])
-        assert rc == EXIT_RUNTIME
+        assert rc == code
         assert message in capsys.readouterr().err
         assert calls == []
-        assert list(out.iterdir()) == []
+        if code == EXIT_USAGE:
+            assert not out.exists()
+        else:
+            assert list(out.iterdir()) == []
 
     def test_reconstruct_names_later_segments_of_an_utterance(self, tmp_path, capsys):
         # one utterance holding /aa/ then a 226-frame /iy/: the second
